@@ -57,17 +57,20 @@ class ExecutionConfig:
         Optional wall-clock budget (seconds) for one round on the
         ``process`` backend; expiry raises instead of hanging.
     client_timeout:
-        Optional per-client wall-clock budget (seconds).  On the process
-        backend a client that exceeds it is treated as a straggler and
-        dropped (or retried); the sequential backend cannot preempt a
-        running client, so there it only cuts short *injected* straggler
-        delays (see :class:`FaultConfig`).
+        Optional per-client budget (seconds).  On every backend an
+        *injected* straggler delay beyond it times out on the virtual clock
+        and is retried (or dropped), see :class:`FaultConfig`.  On the
+        process backend it is also a real wall-clock budget: a worker that
+        genuinely stalls past it is abandoned as a straggler.  In-process
+        backends cannot preempt a running client.
     max_retries:
         Bounded retry budget per client per round for transient failures.
         ``0`` (default) preserves the historical fail-fast behaviour.
     retry_backoff_seconds / retry_backoff_factor / retry_backoff_max_seconds:
-        Exponential-backoff schedule between retry attempts: attempt ``k``
-        sleeps ``min(base * factor**k, max)`` seconds before re-running.
+        Exponential-backoff schedule between retry attempts: failed attempt
+        ``k`` waits ``min(base * factor**k, max)`` seconds of *virtual* time
+        before the next one.  Nothing sleeps; the async engine's arrival
+        schedule is the only consumer of the delay.
     min_participation:
         Fraction of the round's selected participants that must deliver an
         update for the round to aggregate; survivors are FedAvg-combined
@@ -150,9 +153,11 @@ class ExecutionConfig:
         median reference (see :class:`repro.fl.robust.StreamingScreener`).
     client_latency:
         ``async`` backend only: baseline virtual training latency (seconds
-        of virtual time) per client task, on top of which injected
-        straggler delays and lognormal arrival jitter accumulate.  Only
-        shapes arrival *order*; no real time is slept.
+        of virtual time) per client task.  A task arrives at its dispatch
+        time plus the virtual cost of its failed attempts (timeouts and
+        backoffs), this latency, and the injected straggler delay and
+        lognormal jitter of the attempt that trained.  Only shapes arrival
+        *order*; no engine sleeps virtual time.
     codec:
         Update-compression codec applied at the executors' collection point
         (see :mod:`repro.fl.communication`): ``"none"`` (dense, default),
@@ -357,13 +362,14 @@ class FaultConfig:
         Probability of a retriable failure (succeeds on a later attempt if
         the retry budget allows).
     straggler_rate / straggler_delay_seconds:
-        Probability a client stalls for ``straggler_delay_seconds`` before
-        training.  Combined with ``client_timeout`` this exercises the
-        drop-slow-clients path.
+        Probability a client stalls for ``straggler_delay_seconds`` (virtual
+        seconds, never slept) before training.  Combined with
+        ``client_timeout`` this exercises the drop-slow-clients path.
     worker_death_rate:
         Probability the worker *process* hosting the client dies mid-round
-        (``os._exit``).  On the sequential backend this degrades to a crash
-        (killing the only process would kill the simulation itself).
+        (``os._exit``, on the process backend).  In-process backends treat
+        it as a crash (killing the only process would kill the simulation
+        itself).
     jitter_scale / jitter_sigma:
         Heavy-tailed (lognormal) per-attempt arrival jitter sampled by
         :meth:`repro.fl.faults.FaultInjector.delay_for`:

@@ -23,17 +23,18 @@ the client's raw state (bitwise), so a synchronous arrival schedule with
 ``staleness_policy="constant"`` and ``buffer_size == len(participants)``
 degenerates exactly to sequential FedAvg.
 
-**Virtual time.**  Latency is simulated, never slept: each dispatched task
-accumulates ``client_latency`` plus the deterministic straggler/jitter
-delays of :meth:`repro.fl.faults.FaultInjector.delay_for`, and arrivals are
-processed in virtual-arrival order from a heap.  Training itself runs
-eagerly at dispatch time in deterministic dispatch order — harmless,
-because every client owns its seeded RNGs, so no draw order is shared
-across clients.  The result is a fully replayable stream: two runs with
-the same seeds produce identical dispatch, arrival, admission, and flush
-sequences, and the engine is wall-clock-faster than the synchronous
-engines on faulty schedules precisely because injected delays cost nothing
-real (``benchmarks/bench_async_throughput.py``).
+**Virtual time.**  Dispatch runs the client lifecycle every engine shares
+(:meth:`repro.fl.executor.RoundExecutor._run_client`) and schedules the
+task's arrival at ``start + latency + client_latency + delay`` on the one
+virtual clock: ``latency`` is what its failed attempts cost (timeouts and
+backoffs) and ``delay`` the deterministic straggler/jitter delay of the
+attempt that trained (:meth:`repro.fl.faults.FaultInjector.delay_for`).
+Arrivals are processed in virtual-arrival order from a heap.  Training
+itself runs eagerly at dispatch time in deterministic dispatch order —
+harmless, because every client owns its seeded RNGs, so no draw order is
+shared across clients.  The result is a fully replayable stream: two runs
+with the same seeds produce identical dispatch, arrival, admission, and
+flush sequences.
 
 **Scheduling policy.**  Idle clients are (re)dispatched at the start of
 each aggregation step — and mid-step only to refill a ``concurrency``-capped
@@ -42,13 +43,11 @@ arrival mid-step waits for the next step boundary, so within one step each
 client delivers at most one update.  Crashed tasks return their client to
 the pool for the next step (a crash is terminal per task, not per client).
 
-**Faults** reuse the deterministic decision stream keyed by the client's
-monotone *task counter* in place of the round index, so under a
-full-participation synchronous schedule the async engine sees the same
-fault schedule as the synchronous engines.  Transient faults retry with
-(virtual) backoff; an injected straggler delay beyond ``client_timeout``
-is a retriable straggler timeout; crash/worker_death are terminal for the
-task.  Quorum applies per aggregation step: the admitted buffer must cover
+**Faults** reuse the deterministic decision stream and attempt policy of
+the synchronous engines, keyed by the client's monotone *task counter* in
+place of the round index, so under a full-participation synchronous
+schedule the async engine sees the same fault schedule as they do.
+Quorum applies per aggregation step: the admitted buffer must cover
 ``min_participation`` of that step's attempted deliveries
 (admitted + dropped + stale-discarded + quarantined).
 
@@ -70,7 +69,7 @@ simulation resumes bit-identically (asserted by
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,18 +79,16 @@ from repro.fl.aggregation import apply_delta, staleness_weight, state_delta
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.communication import Codec
 from repro.fl.executor import (
-    ClientExecution,
+    ClientOutcome,
     RoundExecution,
     RoundExecutionError,
     RoundExecutor,
-    WireDeliveryError,
 )
-from repro.fl.faults import ClientFailure, FaultInjector, RetryBackoff
+from repro.fl.faults import FaultInjector, RetryBackoff
 from repro.fl.malicious import ByzantineInjector
 from repro.fl.robust import StreamingScreener
 from repro.nn.serialization import state_dict_nbytes
 from repro.utils.logging import get_logger
-from repro.utils.timer import Stopwatch
 
 StateDict = Dict[str, np.ndarray]
 _log = get_logger("fl.async")
@@ -222,9 +219,14 @@ class AsyncExecutor(RoundExecutor):
             raise RoundExecutionError("async step needs at least one participant")
         version = server.round
         # The honest current global: the delta base for arriving updates
-        # dispatched this step, the Byzantine reference, and the flush-time
-        # anchor of the effective states.
+        # dispatched this step, the Byzantine and wire-codec reference, and
+        # the flush-time anchor of the effective states.
         current_global = server.global_state()
+        wire_reference = (
+            current_global
+            if self.codec is not None and self.codec.needs_reference
+            else None
+        )
         profile_token = self._profile_begin()
         by_id = {client.client_id: client for client in participants}
         if len(by_id) != len(participants):
@@ -236,27 +238,14 @@ class AsyncExecutor(RoundExecutor):
         )
         cap = self.concurrency if self.concurrency is not None else len(by_id)
 
-        buffer: List[Tuple[_InFlight, int]] = []  # (entry, lag) in arrival order
-        failures: List[ClientFailure] = []
-        retries: Dict[int, int] = {}
-        rejected: Dict[int, str] = {}
-        scores: Dict[int, float] = {}
-        stale: Dict[int, int] = {}
-        bytes_broadcast = 0
-        bytes_aggregated = 0
-        bytes_aggregated_dense = 0
-
-        while len(buffer) < self.buffer_size:
+        # ``results`` is the admitted buffer, in arrival order.
+        execution = RoundExecution()
+        while len(execution.results) < self.buffer_size:
             while queue and len(self._heap) < cap:
-                client = queue.pop(0)
-                sent, spilled_wire, spilled_dense = self._dispatch(
-                    client, server, version, current_global, failures, rejected
+                self._dispatch(
+                    queue.pop(0), server, version, current_global, wire_reference,
+                    execution,
                 )
-                bytes_broadcast += sent
-                # Traffic a wire-quarantined delivery still cost (every
-                # corrupted retransmission), even though nothing arrived.
-                bytes_aggregated += spilled_wire
-                bytes_aggregated_dense += spilled_dense
             if not self._heap:
                 # Stream ran dry before the buffer filled (crashes, or
                 # buffer_size beyond the reachable arrivals this step):
@@ -264,91 +253,77 @@ class AsyncExecutor(RoundExecutor):
                 break
             arrival_vtime, _, entry = heapq.heappop(self._heap)
             self._vclock = max(self._vclock, arrival_vtime)
-            cid = entry.client_id
-            self._free_at[cid] = self._vclock
-            dense_nbytes = state_dict_nbytes(entry.state)
-            bytes_aggregated += entry.wire_nbytes or dense_nbytes
-            bytes_aggregated_dense += dense_nbytes
-            if entry.attempts:
-                retries[cid] = max(retries.get(cid, 0), entry.attempts)
-            lag = version - entry.origin_version
-            if self.staleness_budget is not None and lag > self.staleness_budget:
-                stale[cid] = lag
-                _log.info(
-                    "discarding stale update from client %d (lag %d > budget %d)",
-                    cid,
-                    lag,
-                    self.staleness_budget,
-                )
-                continue
-            if self.screener is not None:
-                reason, score = self.screener.screen(cid, entry.delta)
-                scores[cid] = score
-                if reason is not None:
-                    rejected[cid] = reason
-                    continue
-            buffer.append((entry, lag))
+            self._free_at[entry.client_id] = self._vclock
+            execution.record(self._arrive(entry, version, current_global, execution))
 
-        results: List[ClientExecution] = []
-        lags: List[int] = []
-        weights: Dict[int, float] = {}
-        for entry, lag in buffer:
-            weight = staleness_weight(
-                lag, self.staleness_policy, self.staleness_alpha, self.staleness_hinge
-            )
-            weights[entry.client_id] = float(weight)
-            if lag == 0 and weight == 1.0:
-                # Bitwise fast path: origin == current global, no decay —
-                # the effective state IS the client's state (rebuilding it
-                # as global + delta would round differently).
-                state = entry.state
-            else:
-                state = apply_delta(current_global, entry.delta, scale=weight)
-            results.append(
-                ClientExecution(
-                    update=ClientUpdate(
-                        client_id=entry.client_id,
-                        state=state,
-                        num_samples=entry.num_samples,
-                        train_loss=entry.train_loss,
-                    ),
-                    compute_seconds=entry.compute_seconds,
-                )
-            )
-            lags.append(lag)
-        attempted = len(buffer) + len(failures) + len(stale) + len(rejected)
-        if not buffer:
-            detail = "; ".join(
-                f"client {f.client_id}: {f.kind} after {f.attempts} attempt(s)"
-                for f in failures
-            )
-            raise RoundExecutionError(
-                "async step admitted no updates: "
-                f"{len(stale)} stale, {len(rejected)} quarantined, "
-                f"{len(failures)} failed{': ' + detail if detail else ''}"
-            )
-        self._check_participation(attempted, len(buffer), failures, rejected)
         # Every dispatched task already trained (training is eager; only
         # arrival is deferred), so no client object is needed across steps —
         # the heap holds state dicts, not clients.  Hand the whole cohort's
         # mutable state back to the registry store.
         for client in participants:
             self._release_collected(client)
-        return self._finalize_execution(RoundExecution(
-            results=results,
-            bytes_broadcast=bytes_broadcast,
-            bytes_aggregated=bytes_aggregated,
-            bytes_aggregated_dense=bytes_aggregated_dense,
-            failures=failures,
-            retries=retries,
-            op_stats=self._profile_end(profile_token),
-            rejected=rejected,
-            anomaly_scores=scores,
-            stale=stale,
-            staleness_lags=lags,
-            staleness_weights=weights,
-            expected_participants=attempted,
-        ))
+        execution.expected_participants = (
+            len(execution.results)
+            + len(execution.failures)
+            + len(execution.stale)
+            + len(execution.rejected)
+        )
+        return self._finish_round(
+            execution, execution.expected_participants, profile_token
+        )
+
+    def _arrive(
+        self,
+        entry: _InFlight,
+        version: int,
+        current_global: StateDict,
+        execution: RoundExecution,
+    ) -> ClientOutcome:
+        """Admit, discard as stale, or quarantine one arrival.
+
+        An admitted update carries its effective state
+        ``current_global + s(lag) * delta``.  Every arrival bills its upload
+        and its retries, admitted or not.
+        """
+        cid = entry.client_id
+        dense_nbytes = state_dict_nbytes(entry.state)
+        outcome = ClientOutcome(
+            cid,
+            attempts=entry.attempts,
+            compute_seconds=entry.compute_seconds,
+            wire_bytes=entry.wire_nbytes or dense_nbytes,
+            dense_bytes=dense_nbytes,
+        )
+        lag = version - entry.origin_version
+        if self.staleness_budget is not None and lag > self.staleness_budget:
+            execution.stale[cid] = lag
+            _log.info(
+                "discarding stale update from client %d (lag %d > budget %d)",
+                cid,
+                lag,
+                self.staleness_budget,
+            )
+            return outcome
+        if self.screener is not None:
+            outcome.rejected, execution.anomaly_scores[cid] = self.screener.screen(
+                cid, entry.delta
+            )
+            if outcome.rejected is not None:
+                return outcome
+        weight = staleness_weight(
+            lag, self.staleness_policy, self.staleness_alpha, self.staleness_hinge
+        )
+        if lag == 0 and weight == 1.0:
+            # Bitwise fast path: origin == current global, no decay — the
+            # effective state IS the client's state (rebuilding it as
+            # global + delta would round differently).
+            state = entry.state
+        else:
+            state = apply_delta(current_global, entry.delta, scale=weight)
+        outcome.update = ClientUpdate(cid, state, entry.num_samples, entry.train_loss)
+        execution.staleness_lags.append(lag)
+        execution.staleness_weights[cid] = float(weight)
+        return outcome
 
     # -- task dispatch ---------------------------------------------------
     def _dispatch(
@@ -357,135 +332,47 @@ class AsyncExecutor(RoundExecutor):
         server,
         version: int,
         current_global: StateDict,
-        failures: List[ClientFailure],
-        rejected: Dict[int, str],
-    ) -> Tuple[int, int, int]:
+        wire_reference: Optional[StateDict],
+        execution: RoundExecution,
+    ) -> None:
         """Run one client task now; schedule its (virtual) arrival.
 
-        Returns ``(broadcast_bytes, failed_wire_bytes, failed_dense_bytes)``
-        — the latter two are zero unless the task's delivery was
-        wire-quarantined, in which case they bill the corrupted
-        transmissions that never produced an arrival.  Faults resolve
-        entirely in virtual time: failed attempts accumulate backoff
-        latency, terminal failures record a :class:`ClientFailure` and
-        return the client to the idle pool for the next step.
+        Faults, Byzantine attacks and wire transmissions are keyed by the
+        client's task counter.  A task that fails or is wire-quarantined
+        never arrives: it is tallied now, corrupted retransmissions
+        included, and its client is idle again once the task's virtual time
+        has passed.
         """
         cid = client.client_id
         task_index = self._task_count.get(cid, 0)
         self._task_count[cid] = task_index + 1
         start = max(self._vclock, self._free_at.get(cid, 0.0))
-        latency = 0.0
-        bytes_sent = 0
-        attempt = 0
-        tolerant = self._tolerant
-        snapshot = client.get_mutable_state().clone() if tolerant else None
-
-        def _fail(kind: str, message: str) -> Tuple[int, int, int]:
-            failures.append(
-                ClientFailure(
-                    client_id=cid, kind=kind, attempts=attempt + 1, message=message
-                )
-            )
-            self._free_at[cid] = start + latency + self.client_latency
-            return bytes_sent, 0, 0
-
-        while True:
-            decision = self._decide(task_index, cid, attempt)
-            if decision.kind in ("crash", "worker_death"):
-                # Terminal for the task; with no worker process to kill,
-                # worker_death degrades to a crash like the sequential engine.
-                return _fail(decision.kind, f"injected {decision.kind}")
-            if decision.kind == "transient":
-                if attempt < self.max_retries:
-                    latency += self.backoff.delay(attempt)
-                    attempt += 1
-                    continue
-                return _fail("transient", "injected transient fault")
-            if (
-                decision.kind == "straggler"
-                and self.client_timeout is not None
-                and decision.delay_seconds > self.client_timeout
-            ):
-                # The server gives up on the attempt after the budget; the
-                # timeout is retriable, matching the synchronous engines.
-                latency += self.client_timeout
-                if attempt < self.max_retries:
-                    latency += self.backoff.delay(attempt)
-                    attempt += 1
-                    continue
-                return _fail(
-                    "straggler",
-                    f"injected {decision.delay_seconds:.1f}s delay exceeds "
-                    f"client_timeout={self.client_timeout:.1f}s",
-                )
-            # Healthy (or tolerably slow) attempt: train now, arrive later.
-            delay = (
-                self.fault_injector.delay_for(task_index, cid, attempt)
-                if self.fault_injector is not None
-                else 0.0
-            )
-            state = server.broadcast(cid)
-            bytes_sent += state_dict_nbytes(state)
-            try:
-                client.receive_global(state)
-                with Stopwatch() as watch:
-                    update = client.local_update()
-            except Exception as exc:
-                if snapshot is None:
-                    raise RoundExecutionError(
-                        f"client {cid} failed during local_update: {exc!r}"
-                    ) from exc
-                client.set_mutable_state(snapshot.clone())
-                if attempt < self.max_retries:
-                    latency += self.backoff.delay(attempt)
-                    attempt += 1
-                    continue
-                return _fail("error", repr(exc))
-            if self.byzantine is not None:
-                corrupted = self.byzantine.corrupt(
-                    task_index, cid, update.state, current_global
-                )
-                if corrupted is not update.state:
-                    update = replace(update, state=corrupted)
-            # Wire compression happens at dispatch — the same collection
-            # point as the synchronous engines (post-corruption) — keyed by
-            # the task index, matching the fault/Byzantine keying.  The
-            # entry carries the *decoded* state, so screening and staleness
-            # weighting below operate on what actually crossed the wire.
-            wire_reference = (
-                current_global
-                if self.codec is not None and self.codec.needs_reference
-                else None
-            )
-            try:
-                update, wire_nbytes, _ = self._encode_collected(
-                    task_index, update, wire_reference, client
-                )
-            except WireDeliveryError as exc:
-                # Delivery never decoded: quarantine the task.  The client
-                # trained (its state advanced, as on a real device) and is
-                # free again after its would-be arrival time.
-                rejected[cid] = "wire_corrupt"
-                _log.warning("client %d quarantined: %s", cid, exc)
-                self._free_at[cid] = start + latency + self.client_latency + delay
-                return bytes_sent, exc.wire_bytes, exc.dense_bytes
-            arrival = start + latency + self.client_latency + delay
-            entry = _InFlight(
-                client_id=cid,
-                task_index=task_index,
-                state=update.state,
-                delta=state_delta(update.state, current_global),
-                origin_version=version,
-                num_samples=update.num_samples,
-                train_loss=update.train_loss,
-                compute_seconds=watch.elapsed,
-                attempts=attempt,
-                wire_nbytes=wire_nbytes,
-            )
-            heapq.heappush(self._heap, (arrival, self._seq, entry))
-            self._seq += 1
-            self._free_at[cid] = arrival
-            return bytes_sent, 0, 0
+        outcome = self._run_client(
+            client, server, task_index, current_global, wire_reference
+        )
+        # The operand order is part of the replay contract: heap order (and
+        # hence every digest) depends on these float sums.
+        arrival = start + outcome.latency + self.client_latency + outcome.delay
+        self._free_at[cid] = arrival
+        if outcome.update is None:
+            execution.record(outcome)
+            return
+        execution.bytes_broadcast += outcome.bytes_broadcast
+        update = outcome.update
+        entry = _InFlight(
+            client_id=cid,
+            task_index=task_index,
+            state=update.state,
+            delta=state_delta(update.state, current_global),
+            origin_version=version,
+            num_samples=update.num_samples,
+            train_loss=update.train_loss,
+            compute_seconds=outcome.compute_seconds,
+            attempts=outcome.attempts,
+            wire_nbytes=outcome.wire_bytes,
+        )
+        heapq.heappush(self._heap, (arrival, self._seq, entry))
+        self._seq += 1
 
     # -- checkpoint/resume ----------------------------------------------
     def export_state(self) -> Dict[str, object]:

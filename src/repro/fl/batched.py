@@ -22,12 +22,13 @@ the same float sequence per client slice:
 
 Clients that cannot be stacked — CIP/defense subclasses, clients with data
 augmentation, heterogeneous architectures or hyperparameters, non-SGD
-optimizers, models with active dropout, or a group of one — fall back to the
-sequential per-client path (``SequentialExecutor._run_client``), as does the
-whole round whenever fault tolerance is enabled (fault decisions are keyed
+optimizers, models with active dropout, or a group of one — run the shared
+per-client lifecycle (``RoundExecutor._run_client``), as does the whole round
+whenever fault tolerance is enabled (fault decisions are keyed
 per-(round, client, attempt) and must interleave exactly as the sequential
-engine does).  Byzantine corruption applies per collected update in both
-paths, so it is preserved under batching.
+engine does).  A stacked member's update is collected through the same
+``RoundExecutor._collect`` as every other client's, so Byzantine corruption
+and the wire codec are preserved under batching.
 
 Caveats:
 
@@ -50,8 +51,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.executor import (
-    ClientExecution,
-    ClientFailure,
+    ClientOutcome,
     RoundExecution,
     RoundExecutionError,
     SequentialExecutor,
@@ -416,8 +416,8 @@ class BatchedExecutor(SequentialExecutor):
     a group therefore shares scalar hyperparameters, so the vectorized SGD
     step broadcasts the *same* scalars the sequential optimizer uses —
     bitwise identical per client slice.  Groups of one and unbatchable
-    clients run through the inherited sequential per-client path; rounds
-    with fault tolerance enabled fall back to sequential entirely.
+    clients run the inherited per-client lifecycle; rounds with fault
+    tolerance enabled run every client through it.
     """
 
     name = "batched"
@@ -462,88 +462,40 @@ class BatchedExecutor(SequentialExecutor):
         return walks
 
     def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
-        if self._tolerant:
-            # Retries/faults need per-(round, client, attempt) interleaving
-            # identical to the sequential engine; run it verbatim.  This
-            # also covers the wire-fault channel: any configured
-            # FaultInjector (including a wire-only one) makes the round
-            # tolerant, so chaos rounds always take the sequential path and
-            # its retransmit/quarantine handling.
-            return super().execute(participants, server)
-        round_index = server.round
-        reference = self._byzantine_reference(server)
-        wire_reference = self._wire_reference(server)
-        profile_token = self._profile_begin()
-        results_by_id: Dict[int, ClientExecution] = {}
-        failures: List[ClientFailure] = []
-        retries: Dict[int, int] = {}
-        rejected: Dict[int, str] = {}
-        bytes_broadcast = 0
-        bytes_aggregated = 0
-        bytes_aggregated_dense = 0
-        groups = self._plan_groups(participants)
-        executed: set = set()
-        for client in participants:
-            if client.client_id in executed:
-                continue
-            grouped = groups.get(client.client_id)
-            if grouped is None:
-                collected: List[ClientExecution] = []
-                sent, received, received_dense = self._run_client(
-                    client, server, round_index, False, reference, wire_reference,
-                    collected, failures, retries, rejected,
-                )
-                bytes_broadcast += sent
-                bytes_aggregated += received
-                bytes_aggregated_dense += received_dense
-                if collected:
-                    results_by_id[client.client_id] = collected[0]
-                executed.add(client.client_id)
-                self._release_collected(client)
-                continue
-            group, plan = grouped
-            try:
-                with Stopwatch() as watch:
-                    updates, sent = self._train_group(group, plan, server)
-            except RoundExecutionError:
-                raise
-            except Exception as exc:
-                ids = [member.client_id for member in group]
-                raise RoundExecutionError(
-                    f"batched group {ids} failed during local_update: {exc!r}"
-                ) from exc
-            bytes_broadcast += sent
-            per_client_seconds = watch.elapsed / len(group)
-            for member, update in zip(group, updates):
-                update = self._corrupt_update(round_index, update, reference)
-                update, wire_bytes, dense_bytes = self._encode_collected(
-                    round_index, update, wire_reference, member
-                )
-                bytes_aggregated += wire_bytes
-                bytes_aggregated_dense += dense_bytes
-                results_by_id[member.client_id] = ClientExecution(
-                    update=update, compute_seconds=per_client_seconds
-                )
-                executed.add(member.client_id)
-                self._release_collected(member)
-        self._check_participation(
-            len(participants), len(results_by_id), failures, rejected
-        )
-        results = [
-            results_by_id[client.client_id]
-            for client in participants
-            if client.client_id in results_by_id
-        ]
-        return self._finalize_execution(RoundExecution(
-            results=results,
-            bytes_broadcast=bytes_broadcast,
-            bytes_aggregated=bytes_aggregated,
-            bytes_aggregated_dense=bytes_aggregated_dense,
-            failures=failures,
-            retries=retries,
-            op_stats=self._profile_end(profile_token),
-            rejected=rejected,
-        ))
+        # Retries and faults need the per-(round, client, attempt)
+        # interleaving of the sequential engine, so tolerant rounds (any
+        # configured FaultInjector, wire-only ones included) stack nothing
+        # and run every client through the shared lifecycle.
+        self._groups = {} if self._tolerant else self._plan_groups(participants)
+        return super().execute(participants, server)
+
+    def _train(
+        self, client: FLClient, server, key: int, reference, wire_reference
+    ) -> List[Tuple[FLClient, ClientOutcome]]:
+        grouped = self._groups.get(client.client_id)
+        if grouped is None:
+            return super()._train(client, server, key, reference, wire_reference)
+        group, plan = grouped
+        try:
+            with Stopwatch() as watch:
+                updates, sent = self._train_group(group, plan, server)
+        except Exception as exc:
+            ids = [member.client_id for member in group]
+            raise RoundExecutionError(
+                f"batched group {ids} failed during local_update: {exc!r}"
+            ) from exc
+        trained = []
+        for member, update, nbytes in zip(group, updates, sent):
+            outcome = ClientOutcome(
+                member.client_id,
+                compute_seconds=watch.elapsed / len(group),
+                bytes_broadcast=nbytes,
+            )
+            outcome = self._collect(
+                key, update, reference, wire_reference, member, outcome, 0
+            )
+            trained.append((member, outcome))
+        return trained
 
     def close(self) -> None:
         # The executor owns the workspace-freelist lifetime: buffers persist
@@ -601,10 +553,10 @@ class BatchedExecutor(SequentialExecutor):
     # -- stacked training -------------------------------------------------
     def _train_group(
         self, group: List[FLClient], plan: List[Step], server
-    ) -> Tuple[List[ClientUpdate], int]:
+    ) -> Tuple[List[ClientUpdate], List[int]]:
         """Run one round of local training for a whole group, stacked.
 
-        Returns the clients' updates (group order) and broadcast byte count.
+        Returns the clients' updates and broadcast byte counts (group order).
         Mirrors ``FLClient.local_update`` + ``train_supervised`` exactly:
         same protocol order, one RNG derivation per client, same per-batch
         float sequence per client slice.
@@ -630,7 +582,7 @@ class BatchedExecutor(SequentialExecutor):
             # entirely — the round's trained slices overwrite the client
             # models below, so the intermediate state is never observed.
             state = server.broadcast(group[0].client_id)
-            bytes_broadcast = cohort * state_dict_nbytes(state)
+            sent = [state_dict_nbytes(state)] * cohort
             for client in group:
                 client.model.train()
                 client._round += 1
@@ -647,10 +599,10 @@ class BatchedExecutor(SequentialExecutor):
             # A broadcast hook may tamper per client (malicious-server
             # attacks), so per-client states can differ: keep the sequential
             # load protocol and stack from the loaded models.
-            bytes_broadcast = 0
+            sent = []
             for client in group:
                 state = server.broadcast(client.client_id)
-                bytes_broadcast += state_dict_nbytes(state)
+                sent.append(state_dict_nbytes(state))
                 client.receive_global(state)
                 client.model.train()
                 client._round += 1
@@ -768,4 +720,4 @@ class BatchedExecutor(SequentialExecutor):
                     train_loss=epoch_losses[member_index][-1],
                 )
             )
-        return updates, bytes_broadcast
+        return updates, sent

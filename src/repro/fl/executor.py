@@ -2,28 +2,56 @@
 
 Within a round every selected client's :meth:`~repro.fl.client.FLClient.
 local_update` is independent, so the round is embarrassingly parallel.  This
-module extracts that stage behind :class:`RoundExecutor`:
+module extracts that stage behind :class:`RoundExecutor`.  The engines
+differ only in how they *schedule* clients:
 
-* :class:`SequentialExecutor` — the original in-process path: broadcast,
-  train, collect, one client after another.
-* :class:`ParallelExecutor` — a persistent ``ProcessPoolExecutor``-backed
-  engine.  Worker processes receive each client's full picklable definition
-  (data shard, model, config) **once** at pool start-up; per round only the
-  client's mutable state (model/optimizer/perturbation state dicts, RNG
-  state) and a single shared packed broadcast payload cross the process
-  boundary.  After training, the worker ships the mutable state back and the
-  coordinator applies it to the authoritative client object — so a parallel
-  round is bit-for-bit identical to a sequential one (each client owns its
-  seeded RNG; no draw order is shared across clients).
+* :class:`SequentialExecutor` — in participant order, in-process;
+* :class:`~repro.fl.batched.BatchedExecutor` — stacked groups of
+  same-architecture clients, every other client in participant order;
+* :class:`ParallelExecutor` — a persistent ``ProcessPoolExecutor`` fed
+  through a sliding submission window.  Worker processes receive each
+  client's full picklable definition (data shard, model, config) **once**
+  at pool start-up; per round only the client's mutable state and a single
+  shared packed broadcast payload cross the process boundary, and the
+  returned state is applied to the authoritative client object — so a
+  parallel round is bit-for-bit identical to a sequential one (each client
+  owns its seeded RNG; no draw order is shared across clients);
+* :class:`~repro.fl.async_engine.AsyncExecutor` — training at dispatch,
+  arrivals from a virtual-clock heap.
 
-Both engines share a fault-tolerance policy (off by default, preserving the
-historical fail-fast behaviour):
+**One client lifecycle.**  Every engine runs the same per-client cycle.
+The pure attempt policy (:func:`attempt_step`) turns each injected
+:class:`~repro.fl.faults.FaultDecision` into *train after virtual delay d*,
+*retry after virtual time t* or *fail(kind)*.  A train step broadcasts,
+runs ``local_update`` (rolling the client back to its pre-round snapshot if
+it raises), applies the client's Byzantine attack and sends the update
+through the wire codec, which retransmits or quarantines it
+(:meth:`RoundExecutor._run_client`, :meth:`RoundExecutor._collect`).  Each
+client ends as one :class:`ClientOutcome`; :meth:`RoundExecution.record`
+tallies the outcomes and :meth:`RoundExecutor._finish_round` enforces the
+quorum.  The process engine resolves injected faults on the coordinator
+with the same policy and ships only training tasks.  An injected
+``worker_death`` still kills its worker for real there, so the pool
+respawn path runs and the fault stays retriable; in-process it is terminal
+like a crash.
 
-* **bounded retry with exponential backoff** — transient failures re-run the
-  client up to ``max_retries`` times; every attempt starts from the client's
-  pre-round state, so a retried round is bit-identical to an untroubled one;
-* **per-client timeouts** — stragglers past ``client_timeout`` are dropped
-  (process backend; in-process the budget only cuts short injected delays);
+**One virtual clock.**  Injected delays never sleep on any engine.
+Straggler delays, timeouts and retry backoffs are virtual seconds on each
+client's outcome, and only the async engine schedules on them, so
+wall-clock time measures compute alone.  The real ``client_timeout`` and
+``round_timeout`` budgets of the process engine still guard against
+genuinely stalled workers.
+
+Fault tolerance is off by default, preserving the historical fail-fast
+behaviour:
+
+* **bounded retry with exponential backoff** — transient failures re-run
+  the client up to ``max_retries`` times; every attempt starts from the
+  client's pre-round state, so a retried round is bit-identical to an
+  untroubled one;
+* **per-client timeouts** — an injected straggler delay past
+  ``client_timeout`` times out (retriable) on every engine; on the process
+  engine a worker that really stalls past it is abandoned as well;
 * **partial aggregation** — with ``min_participation < 1`` the round
   completes over the survivors (FedAvg re-weights by ``num_samples``) and
   the dropped clients land in :class:`RoundExecution.failures` instead of
@@ -47,8 +75,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import time
 from abc import ABC, abstractmethod
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -73,11 +101,7 @@ from repro.fl.faults import (
     ClientFailure,
     FaultDecision,
     FaultInjector,
-    InjectedClientCrash,
-    InjectedTransientError,
     RetryBackoff,
-    StragglerTimeout,
-    enact_fault,
 )
 from repro.nn.diagnostics import WORKSPACE_STAT_KEY, OpStat, op_stats_delta
 from repro.nn.diagnostics import get_op_stats as _get_op_stats
@@ -107,10 +131,11 @@ class WireDeliveryError(RuntimeError):
     """One client's update payload failed to decode on every transmission.
 
     Raised by :meth:`RoundExecutor._encode_collected` after the retransmission
-    budget (``max_retries + 1`` transmissions) is exhausted.  The executors
-    catch it and quarantine the client into ``RoundExecution.rejected`` —
-    a per-client recoverable event, never run-fatal.  Carries the traffic
-    the failed delivery still cost so byte telemetry stays faithful.
+    budget (``max_retries + 1`` transmissions) is exhausted.
+    :meth:`RoundExecutor._collect` catches it and quarantines the client into
+    ``RoundExecution.rejected`` — a per-client recoverable event, never
+    run-fatal.  Carries the traffic the failed delivery still cost so byte
+    telemetry stays faithful.
     """
 
     def __init__(
@@ -126,6 +151,95 @@ class WireDeliveryError(RuntimeError):
         self.attempts = attempts
         self.wire_bytes = wire_bytes
         self.dense_bytes = dense_bytes
+
+
+# ----------------------------------------------------------------------
+# The attempt policy
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class AttemptStep:
+    """The attempt policy's verdict on one execution attempt.
+
+    ``action`` is ``"train"`` (run the client; its update arrives ``delay``
+    virtual seconds late), ``"retry"`` (start the next attempt after
+    ``waited`` and then ``backoff`` virtual seconds) or ``"fail"`` (drop the
+    client for the round after ``waited``).  ``waited`` is how long the
+    server waited on the attempt before giving up on it (a timeout);
+    ``kind`` names the fault behind the verdict.
+    """
+
+    action: str
+    kind: str = "none"
+    delay: float = 0.0
+    waited: float = 0.0
+    backoff: float = 0.0
+
+
+def retry_step(
+    kind: str,
+    attempt: int,
+    max_retries: int,
+    backoff: RetryBackoff,
+    waited: float = 0.0,
+) -> AttemptStep:
+    """Verdict on a failed attempt: retry after its backoff while the budget lasts."""
+    if attempt < max_retries:
+        return AttemptStep("retry", kind, waited=waited, backoff=backoff.delay(attempt))
+    return AttemptStep("fail", kind, waited=waited)
+
+
+def attempt_step(
+    decision: FaultDecision,
+    attempt: int,
+    max_retries: int,
+    backoff: RetryBackoff,
+    client_timeout: Optional[float],
+) -> AttemptStep:
+    """The attempt policy of every engine, pure in its arguments.
+
+    Crashes and worker deaths fail the client for the round; transient
+    faults retry.  A straggler trains late by its delay, unless the delay
+    exceeds ``client_timeout``: then the server gives up once the budget has
+    passed, and the timeout retries like a transient fault.
+    """
+    kind = decision.kind
+    if kind in ("crash", "worker_death"):
+        return AttemptStep("fail", kind)
+    if kind == "transient":
+        return retry_step(kind, attempt, max_retries, backoff)
+    if kind == "straggler" and (
+        client_timeout is not None and decision.delay_seconds > client_timeout
+    ):
+        return retry_step(kind, attempt, max_retries, backoff, waited=client_timeout)
+    delay = decision.delay_seconds if kind == "straggler" else 0.0
+    return AttemptStep("train", kind, delay=delay)
+
+
+@dataclass
+class ClientOutcome:
+    """How one client's lifecycle ended in a round, and what it cost.
+
+    At most one of ``update`` (delivered), ``failure`` (the attempt policy
+    gave up) and ``rejected`` (quarantined: ``"wire_corrupt"`` when no
+    transmission decoded) is set.  ``attempts`` counts the extra attempts a
+    delivered update needed.  ``latency`` is the virtual time its failed
+    attempts cost (timeouts, then backoffs) and ``delay`` the injected delay
+    of the attempt that trained: virtual seconds that only the async engine
+    schedules on.  ``message`` describes the last failed attempt.
+    """
+
+    client_id: int
+    update: Optional[ClientUpdate] = None
+    failure: Optional[ClientFailure] = None
+    rejected: Optional[str] = None
+    attempts: int = 0
+    compute_seconds: float = 0.0
+    bytes_broadcast: int = 0
+    wire_bytes: int = 0
+    dense_bytes: int = 0
+    latency: float = 0.0
+    delay: float = 0.0
+    message: str = ""
 
 
 @dataclass
@@ -152,9 +266,9 @@ class RoundExecution:
     pool (see ``repro.nn.diagnostics.workspace_op_stat``).
     """
 
-    results: List[ClientExecution]
-    bytes_broadcast: int
-    bytes_aggregated: int
+    results: List[ClientExecution] = field(default_factory=list)
+    bytes_broadcast: int = 0
+    bytes_aggregated: int = 0
     #: What the round's uploads would have cost densely (sum of raw array
     #: bytes).  Equals ``bytes_aggregated`` without a lossy codec; with one,
     #: ``bytes_aggregated`` counts the actual compressed wire payloads and
@@ -196,13 +310,30 @@ class RoundExecution:
     def updates(self) -> List[ClientUpdate]:
         return [result.update for result in self.results]
 
+    def record(self, outcome: ClientOutcome) -> None:
+        """Tally one client outcome: its traffic, retries, and how it ended."""
+        self.bytes_broadcast += outcome.bytes_broadcast
+        self.bytes_aggregated += outcome.wire_bytes
+        self.bytes_aggregated_dense += outcome.dense_bytes
+        if outcome.attempts:
+            self.retries[outcome.client_id] = outcome.attempts
+        if outcome.update is not None:
+            self.results.append(
+                ClientExecution(outcome.update, outcome.compute_seconds)
+            )
+        elif outcome.failure is not None:
+            self.failures.append(outcome.failure)
+        elif outcome.rejected is not None:
+            self.rejected[outcome.client_id] = outcome.rejected
+
 
 class RoundExecutor(ABC):
     """Strategy for running the local-training stage of a FedAvg round.
 
     Subclasses call :meth:`_configure_fault_tolerance` from their
-    constructor; the shared policy helpers (:meth:`_decide`,
-    :meth:`_check_participation`) then behave identically across engines.
+    constructor; the shared client lifecycle (:meth:`_run_client`,
+    :meth:`_next_attempt`, :meth:`_collect`) and round tally
+    (:meth:`_finish_round`) then behave identically across engines.
     """
 
     name = "abstract"
@@ -239,6 +370,11 @@ class RoundExecutor(ABC):
             return None
         return server.global_state()
 
+    @property
+    def _wire_faults(self) -> bool:
+        """Whether the injector's wire fault channel can fire."""
+        return self.fault_injector is not None and self.fault_injector.wire_enabled
+
     def _encode_collected(
         self,
         round_index: int,
@@ -264,7 +400,7 @@ class RoundExecutor(ABC):
         own, independent of training-fault attempts, so the corruption
         schedule is identical on every backend.  A corrupted transmission
         raises :class:`~repro.fl.communication.WireFormatError` inside
-        ``decode_update`` and is retransmitted (no backoff sleep: the client
+        ``decode_update`` and is retransmitted (with no backoff: the client
         re-sends the same encoded bytes, it does not re-train) up to
         ``max_retries`` times; exhaustion raises :class:`WireDeliveryError`
         for the caller to quarantine.  ``wire_bytes`` sums every
@@ -272,12 +408,14 @@ class RoundExecutor(ABC):
 
         ``raw_payload`` lets the process backend reuse the payload its
         worker already packed (identical bytes to packing ``update.state``
-        here) instead of re-packing; pass ``None`` whenever ``update.state``
-        no longer matches the packed bytes (e.g. after Byzantine corruption).
+        here) instead of re-packing.  Only its size is used unless a wire
+        fault fires, so it may be stale (e.g. after Byzantine corruption)
+        when wire faults are off; otherwise pass ``None`` whenever
+        ``update.state`` no longer matches the packed bytes.
         """
         dense_bytes = state_dict_nbytes(update.state)
         injector = self.fault_injector
-        wire_active = injector is not None and injector.wire_enabled
+        wire_active = self._wire_faults
         cid = update.client_id
         if self.codec is None:
             if not wire_active or injector.wire_fault(round_index, cid, 0) == "none":
@@ -334,13 +472,6 @@ class RoundExecutor(ABC):
             if commit_residual:
                 client._wire_residual = next_residual
             return replace(update, state=decoded), wire_bytes, dense_bytes
-
-    def _finalize_execution(self, execution: RoundExecution) -> RoundExecution:
-        """Record the round's measured traffic in the ledger and return it."""
-        self.ledger.record_traffic(
-            execution.bytes_broadcast, execution.bytes_aggregated
-        )
-        return execution
 
     def _configure_fault_tolerance(
         self,
@@ -432,45 +563,174 @@ class RoundExecutor(ABC):
             return NO_FAULT
         return self.fault_injector.decide(round_index, client_id, attempt)
 
-    def _required_survivors(self, participants: int) -> int:
-        return max(1, math.ceil(self.min_participation * participants))
+    # -- the client lifecycle ---------------------------------------------
+    def _attempt_step(self, decision: FaultDecision, attempt: int) -> AttemptStep:
+        """This executor's attempt policy (:func:`attempt_step`)."""
+        return attempt_step(
+            decision, attempt, self.max_retries, self.backoff, self.client_timeout
+        )
 
-    def _check_participation(
+    def _next_attempt(
         self,
-        participants: int,
-        survived: int,
-        failures: Sequence[ClientFailure],
-        rejected: Optional[Dict[int, str]] = None,
-    ) -> None:
-        required = self._required_survivors(participants)
-        if survived >= required:
-            if failures or rejected:
-                _log.warning(
-                    "round degraded: %d/%d clients dropped (%s)",
-                    len(failures) + len(rejected or {}),
-                    participants,
-                    ", ".join(
-                        [f"client {f.client_id}: {f.kind}" for f in failures]
-                        + [f"client {cid}: {why}" for cid, why in (rejected or {}).items()]
-                    ),
+        key: int,
+        client_id: int,
+        attempt: int,
+        outcome: ClientOutcome,
+        step: Optional[AttemptStep] = None,
+    ) -> Tuple[int, AttemptStep]:
+        """Walk the attempt policy from ``attempt`` to a train or fail step.
+
+        ``step`` is the verdict on an attempt that already failed for real
+        (see :func:`retry_step`); otherwise the attempt's injected fault
+        decides.  ``key`` is the round index (the async engine passes the
+        client's task counter).  Waits and backoffs accumulate on
+        ``outcome.latency`` as virtual seconds, never slept; a fail step
+        records the client's :class:`ClientFailure` on ``outcome``.
+        """
+        while True:
+            if step is None:
+                step = self._attempt_step(self._decide(key, client_id, attempt), attempt)
+                if step.action != "train":
+                    outcome.message = f"injected {step.kind}"
+            outcome.latency += step.waited
+            if step.action == "fail":
+                outcome.failure = ClientFailure(
+                    client_id, step.kind, attempt + 1, outcome.message
                 )
-            return
-        detail = "; ".join(
+            if step.action != "retry":
+                return attempt, step
+            _log.info(
+                "client %d attempt %d failed (%s); retrying after %.2fs (virtual)",
+                client_id,
+                attempt + 1,
+                step.kind,
+                step.backoff,
+            )
+            outcome.latency += step.backoff
+            attempt, step = attempt + 1, None
+
+    def _run_client(
+        self,
+        client: FLClient,
+        server,
+        key: int,
+        reference: Optional[StateDict],
+        wire_reference: Optional[StateDict],
+    ) -> ClientOutcome:
+        """One client's whole lifecycle, in-process.
+
+        A train step broadcasts (every attempt's broadcast is billed,
+        matching real wire traffic), runs ``local_update`` and collects the
+        update (:meth:`_collect`).  A genuine exception in training rolls
+        the client back to its pre-round snapshot — model, optimizer, CIP
+        perturbation, RNG — and counts as a retriable ``"error"``, so a
+        retried round is bit-identical to an untroubled one.  Without fault
+        tolerance the exception aborts the round instead.
+        """
+        cid = client.client_id
+        outcome = ClientOutcome(cid)
+        # Deep-copied so the failed attempt's mid-training mutation of the
+        # live state cannot reach it.
+        snapshot = client.get_mutable_state().clone() if self._tolerant else None
+        attempt, step = self._next_attempt(key, cid, 0, outcome)
+        while step.action == "train":
+            try:
+                state = server.broadcast(cid)
+                outcome.bytes_broadcast += state_dict_nbytes(state)
+                client.receive_global(state)
+                with Stopwatch() as watch:
+                    update = client.local_update()
+            except Exception as exc:
+                if snapshot is None:
+                    raise RoundExecutionError(
+                        f"client {cid} failed during local_update: {exc!r}"
+                    ) from exc
+                client.set_mutable_state(snapshot.clone())
+                outcome.message = repr(exc)
+                failed = retry_step("error", attempt, self.max_retries, self.backoff)
+                attempt, step = self._next_attempt(key, cid, attempt, outcome, failed)
+                continue
+            outcome.compute_seconds = watch.elapsed
+            jitter = (
+                self.fault_injector.jitter(key, cid, attempt)
+                if self.fault_injector is not None
+                else 0.0
+            )
+            outcome.delay = step.delay + jitter
+            return self._collect(
+                key, update, reference, wire_reference, client, outcome, attempt
+            )
+        return outcome
+
+    def _collect(
+        self,
+        key: int,
+        update: ClientUpdate,
+        reference: Optional[StateDict],
+        wire_reference: Optional[StateDict],
+        client: FLClient,
+        outcome: ClientOutcome,
+        attempt: int,
+        raw_payload: Optional[bytes] = None,
+    ) -> ClientOutcome:
+        """Deliver a trained update: Byzantine corruption, then the wire.
+
+        A payload that never decodes quarantines the client as
+        ``"wire_corrupt"``.  The client trained fine and its local state
+        stays advanced, as on a real device; only delivery failed.
+        """
+        update = self._corrupt_update(key, update, reference)
+        try:
+            update, outcome.wire_bytes, outcome.dense_bytes = self._encode_collected(
+                key, update, wire_reference, client, raw_payload
+            )
+        except WireDeliveryError as exc:
+            outcome.wire_bytes, outcome.dense_bytes = exc.wire_bytes, exc.dense_bytes
+            outcome.rejected = "wire_corrupt"
+            _log.warning("client %d quarantined: %s", outcome.client_id, exc)
+            return outcome
+        outcome.update, outcome.attempts = update, attempt
+        return outcome
+
+    def _finish_round(
+        self, execution: RoundExecution, participants: int, profile_token
+    ) -> RoundExecution:
+        """Enforce the ``min_participation`` quorum, then close the round.
+
+        ``participants`` is the quorum base: the cohort size, or an async
+        step's attempted deliveries.  Closing attaches the round's op stats
+        and bills its traffic to the ledger.
+        """
+        required = max(1, math.ceil(self.min_participation * participants))
+        survived = len(execution.results)
+        lost = (
             [
                 f"client {f.client_id}: {f.kind} after {f.attempts} attempt(s): "
                 f"{f.message}"
-                for f in failures
+                for f in execution.failures
             ]
             + [
                 f"client {cid}: quarantined ({why})"
-                for cid, why in (rejected or {}).items()
+                for cid, why in execution.rejected.items()
             ]
+            + [f"client {cid}: stale (lag {lag})" for cid, lag in execution.stale.items()]
         )
-        raise RoundExecutionError(
-            f"only {survived}/{participants} clients survived the round but "
-            f"min_participation={self.min_participation:g} requires {required}: "
-            f"{detail}"
-        )
+        if survived < required:
+            raise RoundExecutionError(
+                f"only {survived}/{participants} clients survived the round but "
+                f"min_participation={self.min_participation:g} requires {required}: "
+                + "; ".join(lost)
+            )
+        if lost:
+            _log.warning(
+                "round degraded: %d/%d clients dropped (%s)",
+                len(lost),
+                participants,
+                "; ".join(lost),
+            )
+        execution.op_stats = self._profile_end(profile_token)
+        self.ledger.record_traffic(execution.bytes_broadcast, execution.bytes_aggregated)
+        return execution
 
     #: Client registry bound by the simulation (``None`` for standalone
     #: executor use).  A *virtual* registry (see :mod:`repro.fl.registry`)
@@ -541,14 +801,13 @@ class RoundExecutor(ABC):
 
 
 class SequentialExecutor(RoundExecutor):
-    """The classic single-process path: clients train one after another.
+    """The classic single-process path: clients run one after another.
 
-    With fault tolerance enabled, each attempt snapshots the client's
-    mutable state first and rolls it back on failure, so retries (and
-    drops) leave no trace of partially-trained rounds.  ``worker_death``
-    injections degrade to crashes — there is no worker process to kill.
-    ``client_timeout`` cannot preempt a genuinely slow in-process client;
-    it only short-circuits *injected* straggler delays.
+    Each client runs the shared lifecycle (:meth:`RoundExecutor._run_client`).
+    ``worker_death`` injections are terminal like crashes — there is no
+    worker process to kill — and ``client_timeout`` can only time out
+    *injected* straggler delays, never preempt a genuinely slow in-process
+    client.
     """
 
     name = "sequential"
@@ -570,158 +829,42 @@ class SequentialExecutor(RoundExecutor):
         self.codec = codec
 
     def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
-        round_index = server.round
-        tolerant = self._tolerant
+        key = server.round
         reference = self._byzantine_reference(server)
         wire_reference = self._wire_reference(server)
         profile_token = self._profile_begin()
-        results: List[ClientExecution] = []
-        failures: List[ClientFailure] = []
-        retries: Dict[int, int] = {}
-        rejected: Dict[int, str] = {}
-        bytes_broadcast = 0
-        bytes_aggregated = 0
-        bytes_aggregated_dense = 0
+        outcomes: Dict[int, ClientOutcome] = {}
         for client in participants:
-            sent, received, received_dense = self._run_client(
-                client, server, round_index, tolerant, reference, wire_reference,
-                results, failures, retries, rejected,
-            )
-            bytes_broadcast += sent
-            bytes_aggregated += received
-            bytes_aggregated_dense += received_dense
-            # The client's contribution (update state dict) is already
-            # collected; its mutable state can go back to the store now, so
-            # a virtual run holds at most one hot client beyond the store's
-            # cache budget at any point in the round.
-            self._release_collected(client)
-        self._check_participation(len(participants), len(results), failures, rejected)
-        return self._finalize_execution(RoundExecution(
-            results=results,
-            bytes_broadcast=bytes_broadcast,
-            bytes_aggregated=bytes_aggregated,
-            bytes_aggregated_dense=bytes_aggregated_dense,
-            failures=failures,
-            retries=retries,
-            op_stats=self._profile_end(profile_token),
-            rejected=rejected,
-        ))
+            if client.client_id in outcomes:
+                continue
+            for member, outcome in self._train(
+                client, server, key, reference, wire_reference
+            ):
+                outcomes[member.client_id] = outcome
+                # The member's update is collected, so its mutable state can
+                # go back to the store now: a virtual run holds at most one
+                # hot client (or stacked group) beyond the store's budget.
+                self._release_collected(member)
+        execution = RoundExecution()
+        for client in participants:
+            execution.record(outcomes[client.client_id])
+        return self._finish_round(execution, len(participants), profile_token)
 
-    def _run_client(
+    def _train(
         self,
         client: FLClient,
         server,
-        round_index: int,
-        tolerant: bool,
+        key: int,
         reference: Optional[StateDict],
         wire_reference: Optional[StateDict],
-        results: List[ClientExecution],
-        failures: List[ClientFailure],
-        retries: Dict[int, int],
-        rejected: Optional[Dict[int, str]] = None,
-    ) -> Tuple[int, int, int]:
-        """One client's broadcast/train/collect cycle with the full retry policy.
+    ) -> List[Tuple[FLClient, ClientOutcome]]:
+        """Run ``client`` and whatever the engine trains with it.
 
-        Appends to ``results``/``failures``/``retries``/``rejected`` in
-        place and returns the ``(bytes_broadcast, bytes_aggregated,
-        bytes_aggregated_dense)`` the client contributed (every attempt's
-        broadcast counts, matching real wire traffic; uploads are post-codec
-        and include failed retransmissions).  A client whose payload never
-        decodes is *quarantined* into ``rejected`` — counted once, exactly
-        like a screening quarantine, never duplicated into ``failures``.
-        Shared with :class:`~repro.fl.batched.BatchedExecutor`, which routes
-        unbatchable clients through this exact path.
+        Returns ``(member, outcome)`` pairs; the batched engine overrides
+        this to train a client's whole stacked group at once.
         """
-        bytes_broadcast = 0
-        bytes_aggregated = 0
-        bytes_aggregated_dense = 0
-        # Snapshot for rollback: a failed attempt may have advanced the
-        # model, optimizer, or RNG state mid-training; deep-copying the
-        # snapshot keeps it immune to that mutation.
-        snapshot = client.get_mutable_state().clone() if tolerant else None
-        attempt = 0
-        while True:
-            decision = self._decide(round_index, client.client_id, attempt)
-            failure_kind = ""
-            retriable = False
-            error = ""
-            try:
-                if decision.kind == "straggler" and (
-                    self.client_timeout is not None
-                    and decision.delay_seconds > self.client_timeout
-                ):
-                    # Simulate the timeout instead of sleeping it out.
-                    raise StragglerTimeout(
-                        f"injected {decision.delay_seconds:.1f}s delay exceeds "
-                        f"client_timeout={self.client_timeout:.1f}s"
-                    )
-                enact_fault(decision, in_worker=False)
-                state = server.broadcast(client.client_id)
-                bytes_broadcast += state_dict_nbytes(state)
-                client.receive_global(state)
-                with Stopwatch() as watch:
-                    update = client.local_update()
-            except InjectedClientCrash as exc:
-                kind = "worker_death" if decision.kind == "worker_death" else "crash"
-                failure_kind, retriable, error = kind, False, repr(exc)
-            except StragglerTimeout as exc:
-                failure_kind, retriable, error = "straggler", True, str(exc)
-            except InjectedTransientError as exc:
-                failure_kind, retriable, error = "transient", True, repr(exc)
-            except Exception as exc:
-                failure_kind, retriable, error = "error", True, repr(exc)
-            else:
-                update = self._corrupt_update(round_index, update, reference)
-                try:
-                    update, wire_bytes, dense_bytes = self._encode_collected(
-                        round_index, update, wire_reference, client
-                    )
-                except WireDeliveryError as exc:
-                    # The client trained fine; only delivery failed.  Its
-                    # local state stays advanced (as on a real device) and
-                    # the client is quarantined for the round — a recoverable
-                    # per-client event, never run-fatal.
-                    bytes_aggregated += exc.wire_bytes
-                    bytes_aggregated_dense += exc.dense_bytes
-                    if rejected is not None:
-                        rejected[client.client_id] = "wire_corrupt"
-                    _log.warning("client %d quarantined: %s", client.client_id, exc)
-                    return bytes_broadcast, bytes_aggregated, bytes_aggregated_dense
-                bytes_aggregated += wire_bytes
-                bytes_aggregated_dense += dense_bytes
-                results.append(
-                    ClientExecution(update=update, compute_seconds=watch.elapsed)
-                )
-                if attempt:
-                    retries[client.client_id] = attempt
-                return bytes_broadcast, bytes_aggregated, bytes_aggregated_dense
-            if snapshot is None:
-                raise RoundExecutionError(
-                    f"client {client.client_id} failed during local_update: {error}"
-                )
-            client.set_mutable_state(snapshot.clone())
-            if retriable and attempt < self.max_retries:
-                delay = self.backoff.delay(attempt)
-                _log.info(
-                    "client %d attempt %d failed (%s); retrying in %.2fs",
-                    client.client_id,
-                    attempt + 1,
-                    failure_kind,
-                    delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-                continue
-            failures.append(
-                ClientFailure(
-                    client_id=client.client_id,
-                    kind=failure_kind,
-                    attempts=attempt + 1,
-                    message=error,
-                )
-            )
-            return bytes_broadcast, bytes_aggregated, bytes_aggregated_dense
+        outcome = self._run_client(client, server, key, reference, wire_reference)
+        return [(client, outcome)]
 
 
 # ----------------------------------------------------------------------
@@ -751,7 +894,6 @@ def _worker_init(
 
 @dataclass
 class _WorkerResult:
-    client_id: int
     update_payload: bytes
     num_samples: int
     train_loss: float
@@ -764,23 +906,23 @@ def _worker_run_client(
     mutable_state: ClientMutableState,
     broadcast_payload: bytes,
     wire_dtype: Optional[str],
-    decision: FaultDecision = NO_FAULT,
+    kill: bool = False,
 ) -> _WorkerResult:
+    if kill:
+        # An injected worker death.  A real one (OOM kill, segfault) gives
+        # the runtime no chance to clean up; os._exit reproduces that.  It
+        # fires before any state is touched, so the retry is bit-identical.
+        os._exit(13)
     client = _WORKER_CLIENTS.get(client_id)
     if client is None:
         raise RuntimeError(
             f"worker holds no definition for client {client_id}; pool out of sync"
         )
-    # Faults fire before any state is touched, so a failed attempt leaves
-    # the coordinator's (authoritative) client state untouched and a retry
-    # is bit-identical to a first try.
-    enact_fault(decision, in_worker=True)
     client.set_mutable_state(mutable_state)
     client.receive_global(unpack_state_dict(broadcast_payload))
     with Stopwatch() as watch:
         update = client.local_update()
     return _WorkerResult(
-        client_id=client_id,
         update_payload=pack_state_dict(update.state, wire_dtype),
         num_samples=update.num_samples,
         train_loss=update.train_loss,
@@ -803,12 +945,12 @@ class ParallelExecutor(RoundExecutor):
         Wall-clock budget in seconds for one whole round.  On expiry the
         pool is terminated and :class:`RoundExecutionError` is raised
         instead of hanging the simulation.
-    mp_context:
-        Optional multiprocessing start-method name (``"fork"``/``"spawn"``/
-        ``"forkserver"``); ``None`` uses the platform default.
     fault_injector / max_retries / backoff / client_timeout /
     min_participation:
         Shared fault-tolerance policy (see :class:`RoundExecutor`).
+        ``client_timeout`` is also a real wall-clock budget per task: a
+        worker that stalls past it is abandoned as a straggler and the pool
+        is recycled after the wave.
     max_pool_respawns:
         Respawn budget per round when the worker pool dies; the clients
         whose results were lost re-run on the fresh pool, completed clients
@@ -822,7 +964,6 @@ class ParallelExecutor(RoundExecutor):
         num_workers: Optional[int] = None,
         wire_dtype: Optional[str] = None,
         round_timeout: Optional[float] = None,
-        mp_context: Optional[str] = None,
         fault_injector: Optional[FaultInjector] = None,
         max_retries: int = 0,
         backoff: Optional[RetryBackoff] = None,
@@ -847,7 +988,6 @@ class ParallelExecutor(RoundExecutor):
         self.wire_dtype = wire_dtype
         self.codec = codec
         self.round_timeout = round_timeout
-        self.mp_context = mp_context
         self.max_pool_respawns = int(max_pool_respawns)
         self._clients: Dict[int, FLClient] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -873,11 +1013,6 @@ class ParallelExecutor(RoundExecutor):
                     "processes (closures in augment pipelines are a common "
                     f"cause); use the sequential backend instead: {exc!r}"
                 ) from exc
-            context = None
-            if self.mp_context is not None:
-                import multiprocessing
-
-                context = multiprocessing.get_context(self.mp_context)
             _log.info(
                 "starting %d worker processes (%d clients, %.1f MB payload)",
                 self.num_workers,
@@ -890,7 +1025,6 @@ class ParallelExecutor(RoundExecutor):
                 max_workers=self.num_workers,
                 initializer=_worker_init,
                 initargs=(payload, active_backend_name(), active_compute_dtype()),
-                mp_context=context,
             )
         return self._pool
 
@@ -917,6 +1051,13 @@ class ParallelExecutor(RoundExecutor):
             pass
 
     # -- round execution ------------------------------------------------
+    def _attempt_step(self, decision: FaultDecision, attempt: int) -> AttemptStep:
+        if decision.kind == "worker_death":
+            # Enacted for real: the shipped task kills its worker process,
+            # and the lost pool makes the fault retriable.
+            return AttemptStep("train", decision.kind)
+        return super()._attempt_step(decision, attempt)
+
     def _broadcast_payloads(
         self, participants: Sequence[FLClient], server
     ) -> Tuple[List[bytes], int]:
@@ -945,7 +1086,7 @@ class ParallelExecutor(RoundExecutor):
                 f"participants {unknown} were not registered via prepare(); "
                 "the worker pool only holds the population it was built with"
             )
-        round_index = server.round
+        key = server.round
         tolerant = self._tolerant
         reference = self._byzantine_reference(server)
         wire_reference = self._wire_reference(server)
@@ -953,135 +1094,79 @@ class ParallelExecutor(RoundExecutor):
         by_id = {client.client_id: client for client in participants}
         payloads, bytes_broadcast = self._broadcast_payloads(participants, server)
         payload_by_id = dict(zip(by_id, payloads))
+        outcomes = {cid: ClientOutcome(cid) for cid in by_id}
+        # The worker's packed update doubles as its wire payload unless a
+        # Byzantine attack detached the update from those bytes; without
+        # wire faults only their size is billed.
+        reuse_payload = self.byzantine is None or not self._wire_faults
         deadline = None if self.round_timeout is None else monotonic() + self.round_timeout
-
-        # Scheduler state: clients still owed a result, at their current
-        # attempt number.  Attempts count *that client's own* failures; a
-        # client re-run only because the pool died with its result in
-        # flight keeps its attempt number (and hence its fault schedule).
-        pending: Dict[int, int] = {client.client_id: 0 for client in participants}
-        completed: Dict[int, ClientExecution] = {}
-        failures: List[ClientFailure] = []
-        retries: Dict[int, int] = {}
-        rejected: Dict[int, str] = {}
+        # Clients still owed a result: the attempt to resume from, and the
+        # verdict on that attempt if it failed for real (``None``: decide
+        # afresh).  A client whose result was lost with the pool keeps its
+        # attempt number, and hence its fault schedule.
+        pending: Dict[int, Tuple[int, Optional[AttemptStep]]] = {
+            cid: (0, None) for cid in by_id
+        }
         respawns_left = self.max_pool_respawns
-        bytes_aggregated = 0
-        bytes_aggregated_dense = 0
-        first_wave = True
 
-        def _spend_respawn(reason: str) -> None:
-            nonlocal respawns_left
-            self._terminate_pool()
-            if respawns_left <= 0:
-                raise RoundExecutionError(
-                    f"worker pool died and the respawn budget "
-                    f"(max_pool_respawns={self.max_pool_respawns}) is exhausted: "
-                    f"{reason}"
-                )
-            respawns_left -= 1
-            _log.warning("worker pool died (%s); respawning", reason)
+        def requeue(cid: int, attempt: int, kind: str = "", message: str = "") -> None:
+            # A failure of the task's own (``kind``) is charged to the
+            # client's retry budget; a lost result is not.
+            verdict = None
+            if kind:
+                outcomes[cid].message = message
+                verdict = retry_step(kind, attempt, self.max_retries, self.backoff)
+            pending[cid] = (attempt, verdict)
 
         while pending:
-            if not first_wave:
-                # One backoff per resubmission wave, paced by the wave's
-                # most-retried client (per-client sleeps would serialize an
-                # otherwise parallel engine).
-                max_attempt = max(pending.values())
-                if max_attempt > 0:
-                    delay = self.backoff.delay(max_attempt - 1)
-                    if delay > 0:
-                        time.sleep(delay)
-            first_wave = False
-            batch = list(pending.items())
-            decisions = {
-                cid: self._decide(round_index, cid, attempt) for cid, attempt in batch
-            }
-            next_pending: Dict[int, int] = {}
-            pool_broken = False
-            stuck_workers = 0
-            # Sliding-window submission: at most ``num_workers`` futures are
-            # outstanding, so every submitted task starts (essentially)
-            # immediately and its ``client_timeout`` budget can be measured
-            # from its *own* submit time.  Submitting the whole wave at once
-            # would measure every budget from the shared wave start, and a
-            # client queued behind a genuine straggler would time out
-            # spuriously without ever having run.
-            outstanding: List[Tuple[int, int]] = []  # (cid, attempt), submit order
-            futures: Dict[int, object] = {}
-            submit_at: Dict[int, float] = {}
-            next_index = 0
-
-            def _refill() -> None:
-                """Top the window up to the pool's *unstuck* capacity."""
-                nonlocal next_index, pool_broken
-                capacity = self.num_workers - stuck_workers
-                while (
-                    not pool_broken
-                    and next_index < len(batch)
-                    and len(outstanding) < capacity
-                ):
-                    cid, attempt = batch[next_index]
+            # Injected faults resolve here, on the coordinator: only
+            # attempts that train are shipped.
+            tasks = deque()
+            for cid, (attempt, step) in list(pending.items()):
+                attempt, step = self._next_attempt(key, cid, attempt, outcomes[cid], step)
+                if step.action == "train":
+                    tasks.append((cid, attempt, step.kind == "worker_death"))
+            pending.clear()
+            window = deque()  # ((cid, attempt, kill), future, submit time)
+            stuck = 0
+            broken = False
+            while tasks or window:
+                # At most one task per unstuck worker is outstanding, so
+                # each starts (essentially) on submission and its
+                # client_timeout runs from its *own* submit time: a client
+                # queued behind a genuinely stalled one is never timed out
+                # without having run.
+                while tasks and not broken and len(window) < self.num_workers - stuck:
+                    cid, attempt, kill = tasks[0]
                     try:
-                        futures[cid] = pool.submit(
+                        future = self._ensure_pool().submit(
                             _worker_run_client,
                             cid,
                             by_id[cid].get_mutable_state(),
                             payload_by_id[cid],
                             self.wire_dtype,
-                            decisions[cid],
+                            kill,
                         )
                     except BrokenProcessPool:
-                        pool_broken = True
-                        return
-                    submit_at[cid] = monotonic()
-                    outstanding.append((cid, attempt))
-                    next_index += 1
-
-            def _retry_or_drop(cid: int, attempt: int, kind: str, message: str) -> None:
-                if attempt < self.max_retries:
-                    next_pending[cid] = attempt + 1
-                else:
-                    failures.append(
-                        ClientFailure(
-                            client_id=cid,
-                            kind=kind,
-                            attempts=attempt + 1,
-                            message=message,
-                        )
-                    )
-
-            try:
-                pool = self._ensure_pool()
-                _refill()
-            except BrokenProcessPool as exc:
-                _spend_respawn(f"pool rejected submissions: {exc!r}")
-                continue
-            if pool_broken and not futures:
-                _spend_respawn("pool rejected submissions")
-                continue
-
-            while outstanding:
-                cid, attempt = outstanding.pop(0)
-                future = futures[cid]
-                budgets = []
-                if deadline is not None:
-                    budgets.append(deadline)
+                        broken = True
+                        break
+                    window.append((tasks.popleft(), future, monotonic()))
+                if not window:
+                    break  # the pool broke, or stalled workers fill it
+                (cid, attempt, kill), future, submitted = window.popleft()
+                budget = deadline
                 if self.client_timeout is not None:
-                    budgets.append(submit_at[cid] + self.client_timeout)
+                    budget = min(budget or math.inf, submitted + self.client_timeout)
                 try:
-                    if pool_broken:
-                        # The pool died earlier in this wave.  Futures that
-                        # finished before the death still hold results;
-                        # everything else was lost with the workers.
-                        if not future.done():
-                            raise BrokenProcessPool("lost with the pool")
-                        outcome = future.result()
-                    elif budgets:
-                        outcome = future.result(
-                            timeout=max(min(budgets) - monotonic(), 0.001)
-                        )
-                    else:
-                        outcome = future.result()
+                    if broken and not future.done():
+                        # The pool died earlier this wave: whatever had not
+                        # finished was lost with the workers.
+                        raise BrokenProcessPool("lost with the pool")
+                    result = future.result(
+                        timeout=None
+                        if broken or budget is None
+                        else max(budget - monotonic(), 0.001)
+                    )
                 except FutureTimeoutError:
                     if deadline is not None and monotonic() >= deadline:
                         self._terminate_pool()
@@ -1089,153 +1174,82 @@ class ParallelExecutor(RoundExecutor):
                             f"round timed out after {self.round_timeout:.1f}s waiting "
                             f"for client {cid}; worker pool terminated"
                         ) from None
-                    # Per-client straggler budget exceeded.  cancel() guards
-                    # the residual race where the task never actually started
-                    # (it cancels -> re-run without charging the retry
-                    # budget); otherwise that client really stalled its
-                    # worker, so shrink the window and recycle the pool
-                    # after this wave (without charging the respawn budget:
-                    # the pool is healthy, just occupied).
+                    # Past client_timeout.  A task that never started
+                    # cancels and re-runs uncharged; one that did really
+                    # stalled its worker, so the window shrinks and the
+                    # pool is recycled after this wave (without charging
+                    # the respawn budget: the pool is healthy, just busy).
                     if future.cancel():
-                        next_pending[cid] = attempt
+                        requeue(cid, attempt)
                     else:
-                        stuck_workers += 1
-                        _retry_or_drop(
+                        stuck += 1
+                        requeue(
                             cid,
                             attempt,
                             "straggler",
-                            f"no result within client_timeout="
-                            f"{self.client_timeout:.1f}s",
+                            f"no result within client_timeout={self.client_timeout:.1f}s",
                         )
                 except BrokenProcessPool as exc:
-                    pool_broken = True
+                    broken = True
                     if not tolerant:
                         self._terminate_pool()
                         raise RoundExecutionError(
                             f"worker process died while training client {cid} "
                             "(out-of-memory or hard crash); pool terminated"
                         ) from exc
-                    if decisions[cid].kind == "worker_death":
-                        # This client's injected fault killed its worker:
-                        # charge its retry budget.
-                        _retry_or_drop(cid, attempt, "worker_death", repr(exc))
-                    else:
-                        # Innocent bystander: its result was lost with the
-                        # pool.  Re-run at the same attempt number.
-                        next_pending[cid] = attempt
-                except InjectedClientCrash as exc:
-                    if not tolerant:  # pragma: no cover - injection implies tolerant
-                        self._terminate_pool()
-                        raise RoundExecutionError(
-                            f"client {cid} failed in worker: {exc!r}"
-                        ) from exc
-                    failures.append(
-                        ClientFailure(
-                            client_id=cid, kind="crash", attempts=attempt + 1,
-                            message=repr(exc),
-                        )
-                    )
-                except RoundExecutionError:
-                    raise
+                    # The task that killed its worker is charged; a
+                    # bystander's result was merely lost with the pool.
+                    requeue(cid, attempt, "worker_death" if kill else "", repr(exc))
                 except Exception as exc:
                     if not tolerant:
                         self._terminate_pool()
                         raise RoundExecutionError(
                             f"client {cid} failed in worker: {exc!r}"
                         ) from exc
-                    kind = (
-                        "transient"
-                        if isinstance(exc, InjectedTransientError)
-                        else "error"
-                    )
-                    _retry_or_drop(cid, attempt, kind, repr(exc))
+                    requeue(cid, attempt, "error", repr(exc))
                 else:
                     # The returned mutable state makes the coordinator's
-                    # client object indistinguishable from one that trained
-                    # in-process (it also round-trips the client's wire
-                    # residual unchanged, so the codec below sees the same
-                    # residual a sequential run would).
-                    by_id[cid].set_mutable_state(outcome.mutable_state)
+                    # client indistinguishable from one that trained
+                    # in-process (its wire residual included, so the codec
+                    # sees the residual a sequential run would).
+                    client = by_id[cid]
+                    client.set_mutable_state(result.mutable_state)
+                    outcomes[cid].compute_seconds = result.compute_seconds
                     update = ClientUpdate(
-                        client_id=outcome.client_id,
-                        state=unpack_state_dict(outcome.update_payload),
-                        num_samples=outcome.num_samples,
-                        train_loss=outcome.train_loss,
+                        client_id=cid,
+                        state=unpack_state_dict(result.update_payload),
+                        num_samples=result.num_samples,
+                        train_loss=result.train_loss,
                     )
-                    # Corruption happens coordinator-side (identical code
-                    # path to the sequential engine) so both backends poison
-                    # bit-identically; the worker trained honestly.
-                    update = self._corrupt_update(round_index, update, reference)
-                    wire_active = (
-                        self.fault_injector is not None
-                        and self.fault_injector.wire_enabled
+                    raw = result.update_payload if reuse_payload else None
+                    self._collect(
+                        key, update, reference, wire_reference, client, outcomes[cid],
+                        attempt, raw,
                     )
-                    if self.codec is None and not wire_active:
-                        bytes_aggregated += len(outcome.update_payload)
-                        bytes_aggregated_dense += state_dict_nbytes(update.state)
-                    else:
-                        # The worker's packed payload doubles as the wire
-                        # payload unless Byzantine corruption detached
-                        # update.state from those bytes.
-                        raw = (
-                            outcome.update_payload
-                            if self.byzantine is None
-                            else None
-                        )
-                        try:
-                            update, wire_bytes, dense_bytes = self._encode_collected(
-                                round_index, update, wire_reference, by_id[cid],
-                                raw_payload=raw,
-                            )
-                        except WireDeliveryError as exc:
-                            bytes_aggregated += exc.wire_bytes
-                            bytes_aggregated_dense += exc.dense_bytes
-                            rejected[cid] = "wire_corrupt"
-                            _log.warning("client %d quarantined: %s", cid, exc)
-                            _refill()
-                            continue
-                        bytes_aggregated += wire_bytes
-                        bytes_aggregated_dense += dense_bytes
-                    completed[cid] = ClientExecution(
-                        update=update, compute_seconds=outcome.compute_seconds
-                    )
-                    if attempt:
-                        retries[cid] = attempt
-                _refill()
-            # Anything never submitted (the pool died, or stuck workers ate
-            # the whole window) re-runs next wave without a retry charge.
-            for cid, attempt in batch[next_index:]:
-                next_pending[cid] = attempt
-            if pool_broken:
-                _spend_respawn(
-                    f"re-running {len(next_pending)} client(s) whose results were lost"
-                )
-            elif stuck_workers:
-                # Recycle silently: a straggler-occupied worker would leak
-                # into the next wave/round otherwise.
+            for cid, attempt, _ in tasks:  # never submitted: re-run uncharged
+                requeue(cid, attempt)
+            if broken or stuck:
+                # A broken pool is useless, and a stalled worker would leak
+                # into the next wave or round.
                 self._terminate_pool()
-            pending = next_pending
-        self._check_participation(len(participants), len(completed), failures, rejected)
-        # Every result (and every rolled-back failure) has been applied to
-        # its coordinator-side client object; hand the cohort's state back
-        # to the registry store in one sweep.
+            if broken:
+                if respawns_left <= 0:
+                    raise RoundExecutionError(
+                        f"worker pool died and the respawn budget "
+                        f"(max_pool_respawns={self.max_pool_respawns}) is exhausted "
+                        f"with {len(pending)} client(s) still owed a result"
+                    )
+                respawns_left -= 1
+                _log.warning(
+                    "worker pool died; respawning to re-run %d client(s)", len(pending)
+                )
+        # Every result has been applied to its coordinator-side client;
+        # hand the cohort's state back to the registry store in one sweep.
+        execution = RoundExecution(bytes_broadcast=bytes_broadcast)
         for client in participants:
             self._release_collected(client)
-        results = [
-            completed[client.client_id]
-            for client in participants
-            if client.client_id in completed
-        ]
-        return self._finalize_execution(RoundExecution(
-            results=results,
-            bytes_broadcast=bytes_broadcast,
-            bytes_aggregated=bytes_aggregated,
-            bytes_aggregated_dense=bytes_aggregated_dense,
-            failures=failures,
-            retries=retries,
-            op_stats=self._profile_end(profile_token),
-            rejected=rejected,
-        ))
+            execution.record(outcomes[client.client_id])
+        return self._finish_round(execution, len(participants), profile_token)
 
 
 def make_executor(

@@ -13,22 +13,20 @@ regardless of execution order, backend, or how often it is queried — the
 properties that let a faulty parallel round be compared bit-for-bit against
 a faulty sequential one, and let a resumed run replay the same faults.
 
-The executors consume decisions in two places:
-
-* :class:`~repro.fl.executor.SequentialExecutor` enacts them in-process
-  (``worker_death`` degrades to ``crash``: killing the only process would
-  kill the simulation itself);
-* :class:`~repro.fl.executor.ParallelExecutor` ships each decision to the
-  worker alongside the training task; the worker enacts it *before*
-  touching client state, so a failed attempt never leaves partial state
-  behind and a retry is bit-identical to a first try.
+The injector only decides; nothing here sleeps or raises.  Every engine
+feeds the decisions to one pure attempt policy
+(:func:`repro.fl.executor.attempt_step`) before any client state is
+touched, so a failed attempt leaves nothing behind and a retry is
+bit-identical to a first try.  Straggler delays, timeouts and backoffs are
+virtual seconds: the async engine schedules arrivals on them and the
+synchronous engines only account for them.  The one fault enacted for real
+is ``worker_death`` on the process engine, whose task kills its worker so
+the pool respawn path runs; in-process engines treat it as a crash.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
@@ -41,22 +39,6 @@ FAULT_KINDS = ("none", "crash", "transient", "straggler", "worker_death")
 #: Wire-level corruption kinds applied to encoded update payloads
 #: ("none" means the transmission arrives intact).
 WIRE_FAULT_KINDS = ("none", "bit_flip", "truncate", "garble_header")
-
-
-class InjectedFault(RuntimeError):
-    """Base class of all injector-raised failures."""
-
-
-class InjectedClientCrash(InjectedFault):
-    """A permanent client failure for this round — never retried."""
-
-
-class InjectedTransientError(InjectedFault):
-    """A retriable failure: a later attempt may succeed."""
-
-
-class StragglerTimeout(InjectedFault):
-    """A straggler exceeded the per-client budget (sequential simulation)."""
 
 
 @dataclass(frozen=True)
@@ -193,24 +175,28 @@ class FaultInjector:
         """Total injected latency (seconds) for this execution attempt.
 
         The straggler delay of :meth:`decide` (zero for healthy attempts)
-        plus a heavy-tailed lognormal jitter term
-        ``jitter_scale * exp(jitter_sigma * N(0, 1))`` when the config
-        enables jitter.  Like every fault draw the sample is stateless in
-        ``(seed, round, client, attempt)``, so arrival schedules built from
-        it replay identically across backends and across resume.  The async
-        engine advances *virtual* time by this amount; synchronous callers
-        may sleep it instead.
+        plus the attempt's :meth:`jitter`.  Like every fault draw it is
+        stateless in ``(seed, round, client, attempt)``, so arrival
+        schedules built from it replay identically across backends and
+        across resume.  These are virtual seconds: nothing sleeps them.
         """
         decision = self.decide(round_index, client_id, attempt)
         base = decision.delay_seconds if decision.kind == "straggler" else 0.0
+        return base + self.jitter(round_index, client_id, attempt)
+
+    def jitter(self, round_index: int, client_id: int, attempt: int) -> float:
+        """Heavy-tailed latency jitter of one attempt (0 when disabled).
+
+        ``jitter_scale * exp(jitter_sigma * N(0, 1))``, drawn from
+        ``derive_rng(seed, "delay", round, client, attempt)``.
+        """
         config = self.config
         if config.jitter_scale <= 0.0:
-            return base
+            return 0.0
         rng = derive_rng(config.seed, "delay", round_index, client_id, attempt)
-        jitter = config.jitter_scale * math.exp(
+        return config.jitter_scale * math.exp(
             config.jitter_sigma * float(rng.standard_normal())
         )
-        return base + jitter
 
     @property
     def wire_enabled(self) -> bool:
@@ -299,35 +285,9 @@ class FaultInjector:
         return FaultDecision(kind=planned)
 
 
-def enact_fault(decision: FaultDecision, in_worker: bool) -> None:
-    """Enact a fault decision at the point a client would start training.
-
-    ``straggler`` sleeps, then returns (training proceeds late); the other
-    kinds raise.  ``worker_death`` hard-kills the hosting process — only
-    when ``in_worker`` is true; in-process executors degrade it to a crash.
-    Callers must invoke this *before* mutating any client state so failed
-    attempts are side-effect free.
-    """
-    if decision.kind == "none":
-        return
-    if decision.kind == "straggler":
-        if decision.delay_seconds > 0:
-            time.sleep(decision.delay_seconds)
-        return
-    if decision.kind == "transient":
-        raise InjectedTransientError("injected transient fault")
-    if decision.kind == "worker_death":
-        if in_worker:
-            # A real worker death (OOM kill, segfault) gives the runtime no
-            # chance to clean up; os._exit reproduces that faithfully.
-            os._exit(13)
-        raise InjectedClientCrash("injected worker death (degraded to crash in-process)")
-    raise InjectedClientCrash("injected client crash")
-
-
 @dataclass(frozen=True)
 class RetryBackoff:
-    """Exponential backoff schedule between retry attempts."""
+    """Exponential backoff schedule between retry attempts (virtual seconds)."""
 
     base_seconds: float = 0.05
     factor: float = 2.0
@@ -340,5 +300,5 @@ class RetryBackoff:
             raise ValueError("backoff factor must be >= 1")
 
     def delay(self, attempt: int) -> float:
-        """Seconds to wait after failed attempt number ``attempt`` (0-based)."""
+        """Virtual seconds between failed attempt ``attempt`` (0-based) and the next."""
         return min(self.base_seconds * self.factor ** attempt, self.max_seconds)

@@ -288,6 +288,65 @@ class TestChaosCocktail:
         assert sim.history.train_losses == history_full.train_losses
 
 
+class TestCrossEngineLifecycle:
+    """Every engine runs one client lifecycle, so under the same faults they
+    agree on every client's fate and on the trained model."""
+
+    @staticmethod
+    def _run(dataset, backend, seed, rounds=3, **overrides):
+        server = FLServer(_mlp_factory)
+        clients = _build_clients(dataset, 6)
+        executor = _chaos_executor(backend, seed, **overrides)
+        with FederatedSimulation(server, clients, executor=executor) as sim:
+            sim.run(rounds)
+        fates = [
+            (m.dropped_clients, m.retried_clients, m.rejected_clients)
+            for m in sim.history.round_metrics
+        ]
+        return server.global_state(), sim.history.train_losses, fates
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sync_engines_agree_under_the_cocktail(self, tiny_vector_dataset, seed):
+        # Every straggler delay exceeds client_timeout, so stragglers time
+        # out and retry as well.
+        faults = FaultConfig(seed=seed, **dict(COCKTAIL, straggler_delay_seconds=0.5))
+        state, losses, fates = self._run(
+            tiny_vector_dataset, "sequential", seed,
+            fault_config=faults, client_timeout=0.2,
+        )
+        assert any(any(fate) for fate in fates), "the cocktail should bite"
+        for backend in ("batched", "process"):
+            other_state, other_losses, other_fates = self._run(
+                tiny_vector_dataset, backend, seed,
+                fault_config=faults, client_timeout=0.2,
+            )
+            _assert_states_equal(state, other_state)
+            assert other_losses == losses, backend
+            assert other_fates == fates, backend
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_async_matches_sequential_without_stragglers(
+        self, tiny_vector_dataset, seed
+    ):
+        # A buffer the size of the cohort, constant staleness and no
+        # stragglers or jitter: every async step is the sequential round,
+        # crashes, transients and wire faults included.
+        faults = FaultConfig(
+            seed=seed, crash_rate=0.1, transient_rate=0.1, wire_corrupt_rate=0.15
+        )
+        state, losses, fates = self._run(
+            tiny_vector_dataset, "sequential", seed, fault_config=faults
+        )
+        assert any(any(fate) for fate in fates), "the faults should bite"
+        async_state, async_losses, async_fates = self._run(
+            tiny_vector_dataset, "async", seed,
+            fault_config=faults, buffer_size=6, staleness_policy="constant",
+        )
+        _assert_states_equal(state, async_state)
+        assert async_losses == losses
+        assert async_fates == fates
+
+
 class TestWireQuarantine:
     """Recoverable wire faults at the executors' collection points."""
 

@@ -14,6 +14,8 @@ The acceptance contract of the fault-tolerance layer:
 
 from __future__ import annotations
 
+import os
+import re
 import time
 
 import numpy as np
@@ -50,20 +52,46 @@ def _dual_factory():
     return build_model("mlp", 3, in_features=10, hidden=(16,), dual_channel=True, seed=0)
 
 
-def _build_clients(dataset, num_clients):
+class _StallingClient(FLClient):
+    """A genuine straggler: ``local_update`` really stalls its worker.
+
+    Module-level so the process pool can pickle it.
+    """
+
+    def __init__(self, *args, stall_seconds, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stall_seconds = stall_seconds
+
+    def local_update(self):
+        time.sleep(self.stall_seconds)
+        return super().local_update()
+
+
+def _build_clients(dataset, num_clients, stalls=None):
+    """Plain clients; ``stalls`` maps client ids to seconds they really stall."""
     shards = partition_iid(dataset, num_clients, seed=0)
+    stalls = stalls or {}
     return [
-        FLClient(
-            i, shards[i], _mlp_factory, config=ClientConfig(lr=0.05),
-            seed=derive_rng(7, "fault", i),
+        (
+            _StallingClient(
+                i, shards[i], _mlp_factory, config=ClientConfig(lr=0.05),
+                seed=derive_rng(7, "fault", i), stall_seconds=stalls[i],
+            )
+            if i in stalls
+            else FLClient(
+                i, shards[i], _mlp_factory, config=ClientConfig(lr=0.05),
+                seed=derive_rng(7, "fault", i),
+            )
         )
         for i in range(num_clients)
     ]
 
 
-def _run_federation(dataset, executor, rounds=2, num_clients=4, **sim_kwargs):
+def _run_federation(
+    dataset, executor, rounds=2, num_clients=4, stalls=None, **sim_kwargs
+):
     server = FLServer(_mlp_factory)
-    clients = _build_clients(dataset, num_clients)
+    clients = _build_clients(dataset, num_clients, stalls)
     with FederatedSimulation(server, clients, executor=executor, **sim_kwargs) as sim:
         sim.run(rounds)
     return server.global_state(), sim.history
@@ -285,17 +313,17 @@ class TestParallelFaultTolerance:
                 sim.run_round()
 
     def test_straggler_past_client_timeout_is_dropped(self, tiny_vector_dataset):
-        injector = _plan_injector(
-            {(0, 0, 0): FaultDecision(kind="straggler", delay_seconds=45.0)}
-        )
+        # Client 0 really stalls its worker (injected delays are virtual and
+        # never occupy one): the wall-clock budget abandons it.
         executor = ParallelExecutor(
             num_workers=2,
-            fault_injector=injector,
             client_timeout=1.0,
             min_participation=0.5,
         )
         start = time.monotonic()
-        _, history = _run_federation(tiny_vector_dataset, executor, rounds=1)
+        _, history = _run_federation(
+            tiny_vector_dataset, executor, rounds=1, stalls={0: 45.0}
+        )
         assert time.monotonic() - start < 30.0
         assert history.round_metrics[0].dropped_clients == {0: "straggler"}
         assert set(history.train_losses[0]) == {1, 2, 3}
@@ -306,17 +334,15 @@ class TestParallelFaultTolerance:
         # One worker, so every other client queues behind the straggler.
         # Their timeout budget must start when *they* are submitted, not
         # when the wave starts: only the genuine straggler may be dropped.
-        injector = _plan_injector(
-            {(0, 0, 0): FaultDecision(kind="straggler", delay_seconds=10.0)}
-        )
         executor = ParallelExecutor(
             num_workers=1,
-            fault_injector=injector,
             client_timeout=1.0,
             max_retries=0,
             min_participation=0.25,
         )
-        _, history = _run_federation(tiny_vector_dataset, executor, rounds=1)
+        _, history = _run_federation(
+            tiny_vector_dataset, executor, rounds=1, stalls={0: 10.0}
+        )
         assert history.round_metrics[0].dropped_clients == {0: "straggler"}
         assert set(history.train_losses[0]) == {1, 2, 3}
 
@@ -578,3 +604,33 @@ class TestSamplingDeterminism:
         sim_c = build(43)
         draws_c = [sim_c._select_participant_ids() for _ in range(8)]
         assert draws_a != draws_c
+
+
+# ----------------------------------------------------------------------
+# Virtual-clock lint
+# ----------------------------------------------------------------------
+_SLEEP = re.compile(r"\btime\.sleep\b|\bfrom time import\b.*\bsleep\b")
+
+
+def test_library_never_sleeps():
+    """Injected delays are virtual time: nothing under ``repro`` sleeps."""
+    import repro
+
+    root = os.path.dirname(repro.__file__)
+    offenders = []
+    for directory, _, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+            offenders += [
+                f"{os.path.relpath(path, root)}:{lineno}: {line.strip()}"
+                for lineno, line in enumerate(source.splitlines(), 1)
+                if _SLEEP.search(line)
+            ]
+    assert not offenders, (
+        "real sleeps make wall-clock time measure waiting, not compute:\n"
+        + "\n".join(offenders)
+    )
