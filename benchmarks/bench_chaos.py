@@ -140,14 +140,15 @@ def _telemetry(history):
 
 def _run_cocktail(backend: str, directory: str):
     factory, clients, test = _federation()
+    # num_workers and client_latency are read by one engine each.
+    knobs = {"process": {"num_workers": 2}, "async": {"client_latency": 0.1}}
     executor = make_executor(
         backend=backend,
-        num_workers=2 if backend == "process" else None,
         fault_config=COCKTAIL,
         max_retries=2,
         backoff=_NO_SLEEP,
         min_participation=0.2,
-        client_latency=0.1,
+        **knobs.get(backend, {}),
     )
     server = FLServer(factory, gate_aggregate=True)
     sim = FederatedSimulation(

@@ -8,12 +8,10 @@ same rounds would have cost, the final test accuracy, and a digest of the
 final global state.  Together the rows are the Pareto front a deployment
 picks from: how many bytes each codec saves and what accuracy it pays.
 
-Codec axis (``codec x wire_dtype``):
+Codec axis:
 
-* ``none`` / float64 — the dense reference path; its digest must match a
-  run with no codec object at all (the ``--codec none`` identity).
-* ``none`` / float32 — the historical lossy down-cast knob: half the
-  bytes, near-zero accuracy cost.
+* ``none`` — the dense reference path; its digest must match a run with
+  no codec object at all (the ``--codec none`` identity).
 * ``topk`` — 5% magnitude sparsification with per-client error feedback;
   the headline row, expected >=10x upload reduction within 0.5pp of the
   dense accuracy.
@@ -49,16 +47,9 @@ from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import build_model
 from repro.utils.rng import derive_rng
 
-#: (codec, wire_dtype) rows of the sweep.  wire_dtype only parameterizes
-#: the dense codec — the compressed codecs fix their own wire precision
-#: (topk ships full-precision values, qsgd int8 levels, delta float32).
-COMBOS = (
-    ("none", "float64"),
-    ("none", "float32"),
-    ("topk", None),
-    ("qsgd", None),
-    ("delta", None),
-)
+#: Codec rows of the sweep.  Each codec fixes its own wire precision (none
+#: and topk ship full-precision values, qsgd int8 levels, delta float32).
+CODECS = ("none", "topk", "qsgd", "delta")
 TOPK_FRACTION = 0.05
 QSGD_LEVELS = 16
 ROUNDS = 11
@@ -102,17 +93,17 @@ def _state_digest(state: dict) -> str:
     return digest.hexdigest()
 
 
-def _make_row_codec(codec: str, wire_dtype: str | None):
+def _make_row_codec(codec: str):
     if codec == "none":
-        return NoneCodec(None if wire_dtype == "float64" else wire_dtype)
+        return NoneCodec()
     return make_codec(
         codec, topk_fraction=TOPK_FRACTION, qsgd_levels=QSGD_LEVELS
     )
 
 
-def _run_combo(codec: str, wire_dtype: str | None, executor=None) -> dict:
+def _run_combo(codec: str, executor=None) -> dict:
     if executor is None:
-        executor = SequentialExecutor(codec=_make_row_codec(codec, wire_dtype))
+        executor = SequentialExecutor(codec=_make_row_codec(codec))
     server, clients, dataset = _build_conv_federation()
     with FederatedSimulation(server, clients, executor=executor) as sim:
         sim.run(ROUNDS)
@@ -123,7 +114,6 @@ def _run_combo(codec: str, wire_dtype: str | None, executor=None) -> dict:
     dense = sum(m.bytes_aggregated_dense for m in metrics)
     return {
         "codec": codec,
-        "wire_dtype": wire_dtype,
         "clients": NUM_CLIENTS,
         "rounds": ROUNDS,
         "test_accuracy": accuracy,
@@ -136,8 +126,8 @@ def _run_combo(codec: str, wire_dtype: str | None, executor=None) -> dict:
 
 def run_bench() -> dict:
     # Reference: no codec object at all — the executors' dense fast path.
-    baseline = _run_combo("baseline", None, executor=SequentialExecutor())
-    rows = [_run_combo(codec, wire_dtype) for codec, wire_dtype in COMBOS]
+    baseline = _run_combo("baseline", executor=SequentialExecutor())
+    rows = [_run_combo(codec) for codec in CODECS]
     for row in rows:
         row["accuracy_drop_pp"] = round(
             100.0 * (baseline["test_accuracy"] - row["test_accuracy"]), 4
@@ -154,7 +144,6 @@ def run_bench() -> dict:
         "pareto_by_upload": [
             {
                 "codec": row["codec"],
-                "wire_dtype": row["wire_dtype"],
                 "mb_upload_per_round": row["mb_upload_per_round"],
                 "test_accuracy": row["test_accuracy"],
             }
@@ -167,12 +156,8 @@ def run_bench() -> dict:
     return report
 
 
-def _row(report: dict, codec: str, wire_dtype: str | None = None) -> dict:
-    return next(
-        row
-        for row in report["rows"]
-        if row["codec"] == codec and row["wire_dtype"] == wire_dtype
-    )
+def _row(report: dict, codec: str) -> dict:
+    return next(row for row in report["rows"] if row["codec"] == codec)
 
 
 def test_comm_compression(benchmark):
@@ -180,7 +165,7 @@ def test_comm_compression(benchmark):
     print()
     for row in [report["baseline"], *report["rows"]]:
         print(
-            f"  {row['codec']:>8s}/{str(row['wire_dtype']):<8s}: "
+            f"  {row['codec']:>8s}: "
             f"{row['mb_upload_per_round']:.4f} MB/round up "
             f"({row.get('upload_reduction', 1.0):.1f}x), "
             f"accuracy {row['test_accuracy']:.3f}"

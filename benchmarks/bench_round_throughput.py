@@ -142,7 +142,9 @@ def _build_federation(num_clients: int, seed: int = 0):
 
 
 def _time_backend(backend: str, num_clients: int) -> dict:
-    executor = make_executor(backend=backend, num_workers=NUM_WORKERS)
+    # Only the process engine reads num_workers.
+    knobs = {"num_workers": NUM_WORKERS} if backend == "process" else {}
+    executor = make_executor(backend=backend, **knobs)
     with FederatedSimulation(*_build_federation(num_clients), executor=executor) as sim:
         # Warm-up absorbs one-time costs (worker spawn, client pickling) so
         # the measurement reflects steady-state rounds.

@@ -1,9 +1,22 @@
-"""CIP hyperparameters (paper Tables I and II) and execution settings."""
+"""CIP hyperparameters (paper Tables I and II) and execution settings.
+
+Every execution knob is declared once, as a field of a frozen dataclass
+made with :func:`knob`.  The field's annotation, default, help text, CLI
+flag and range check all live there, and everything else derives from it:
+the experiments CLI generates its flags from :func:`iter_knobs`,
+:func:`repro.fl.executor.make_executor` validates its keywords through
+:class:`EngineConfig`, and :meth:`EngineConfig.validate` holds the
+compatibility matrix that rejects a knob set on a path that never reads it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import typing
+from dataclasses import Field, dataclass, field, fields, is_dataclass
+from functools import reduce
+from typing import Any, Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
+
+from repro.nn.backend import available_backends, available_dtype_policies
 
 #: Round-execution backends understood by :class:`ExecutionConfig`.
 EXECUTION_BACKENDS = ("sequential", "process", "batched", "async")
@@ -30,322 +43,192 @@ BYZANTINE_ATTACKS = (
     "nan_bomb",
 )
 
+#: Client-state stores of a virtual federation (see
+#: :func:`repro.fl.registry.make_state_store`).
+STATE_STORES = ("memory", "lru")
 
-@dataclass
-class ExecutionConfig:
-    """How FedAvg rounds are executed (see :mod:`repro.fl.executor`).
+#: Sections of the experiments CLI's help, keyed by a knob's ``group``:
+#: ``(title, description)``.  Knobs without a group are top-level flags.
+KNOB_GROUPS = {
+    "nn": (
+        "nn backend",
+        "array backend and compute precision for the repro.nn substrate "
+        "(see repro.nn.backend)",
+    ),
+    "diagnostics": (
+        "diagnostics",
+        "autograd correctness guards and op-level profiling "
+        "(see repro.nn.diagnostics)",
+    ),
+    "faults": (
+        "fault tolerance",
+        "graceful degradation of federated rounds (defaults preserve the "
+        "paper's fail-fast all-participants protocol)",
+    ),
+    "chaos": (
+        "chaos engineering",
+        "seeded wire/checkpoint corruption and recovery knobs for chaos drills "
+        "(see DESIGN.md's fault taxonomy; replays bit-identically under the "
+        "same --fault-seed)",
+    ),
+    "async": (
+        "asynchronous execution",
+        "buffered streaming aggregation for --backend async "
+        "(see repro.fl.async_engine)",
+    ),
+    "wire": (
+        "communication compression",
+        "update-compression codecs applied at the executors' collection point "
+        "(see repro.fl.communication); defaults ship dense updates",
+    ),
+    "scaling": (
+        "scaling",
+        "client virtualization and hierarchical aggregation for large "
+        "populations (see repro.fl.registry; memory scales with the cohort, "
+        "not the population)",
+    ),
+    "robust": (
+        "Byzantine robustness",
+        "malicious-client update attacks and the server-side defenses "
+        "(defaults preserve plain FedAvg over trusted clients)",
+    ),
+}
 
-    Attributes
-    ----------
-    backend:
-        ``"sequential"`` trains clients one after another in-process;
-        ``"process"`` fans the round out over a persistent worker pool;
-        ``"batched"`` stacks same-architecture plain-SGD clients along a
-        leading client axis and trains the whole cohort through grouped
-        kernels (clients it cannot stack fall back to the sequential
-        path per client, see :mod:`repro.fl.batched`).  All three produce
-        bitwise-identical results for seeded runs (as long as
-        ``wire_dtype`` stays ``None``).
-    num_workers:
-        Worker-process count for the ``process`` backend; ``None`` uses all
-        CPU cores.  More workers than selected clients per round is wasted.
-    wire_dtype:
-        Optional ``"float32"`` compression of broadcast/update payloads.
-        Halves wire bytes, but the lossy cast forfeits bitwise equality
-        with the sequential path.
-    round_timeout:
-        Optional wall-clock budget (seconds) for one round on the
-        ``process`` backend; expiry raises instead of hanging.
-    client_timeout:
-        Optional per-client budget (seconds).  On every backend an
-        *injected* straggler delay beyond it times out on the virtual clock
-        and is retried (or dropped), see :class:`FaultConfig`.  On the
-        process backend it is also a real wall-clock budget: a worker that
-        genuinely stalls past it is abandoned as a straggler.  In-process
-        backends cannot preempt a running client.
-    max_retries:
-        Bounded retry budget per client per round for transient failures.
-        ``0`` (default) preserves the historical fail-fast behaviour.
-    retry_backoff_seconds / retry_backoff_factor / retry_backoff_max_seconds:
-        Exponential-backoff schedule between retry attempts: failed attempt
-        ``k`` waits ``min(base * factor**k, max)`` seconds of *virtual* time
-        before the next one.  Nothing sleeps; the async engine's arrival
-        schedule is the only consumer of the delay.
-    min_participation:
-        Fraction of the round's selected participants that must deliver an
-        update for the round to aggregate; survivors are FedAvg-combined
-        (re-weighted by ``num_samples``) and dropped clients are recorded in
-        the history.  ``1.0`` (default) aborts the round on any drop,
-        matching the paper's all-participants protocol.
-    max_pool_respawns:
-        How many times per round the process backend may respawn a worker
-        pool that died (e.g. a worker was OOM-killed) before giving up.
-        Only the clients whose results were lost with the pool re-run.
-    nn_debug:
-        Turn on the :mod:`repro.nn.diagnostics` invariant guards (grad
-        shape/dtype checks, NaN/Inf anomaly detection) for the run.
-        Equivalent to setting ``REPRO_NN_DEBUG=1``; noticeably slower, so
-        off by default.  Once enabled, the guards stay on for the process
-        lifetime (a later config without the flag does not disable them).
-    profile_ops:
-        Collect per-op call/time/bytes counters during the run (see
-        ``repro.nn.diagnostics.get_op_stats``); per-round deltas appear in
-        ``RoundMetrics.op_stats``.  Same enable-only lifetime as
-        ``nn_debug``.
-    aggregator:
-        Aggregation rule the server applies to the round's accepted updates
-        (see :mod:`repro.fl.aggregation`).  ``"fedavg"`` (default) is the
-        paper's sample-weighted mean; the robust alternatives (``median``,
-        ``trimmed_mean``, ``norm_clip``, ``krum``, ``multi_krum``) bound
-        the influence any single — possibly Byzantine — client has on the
-        global model.
-    trim_fraction:
-        Fraction of extreme values trimmed from *each* end per coordinate
-        by the ``trimmed_mean`` aggregator.  ``0.0`` degenerates to the
-        plain (unweighted) mean.
-    clip_norm:
-        Per-update L2 delta bound of the ``norm_clip`` aggregator; ``None``
-        clips at the round's median delta norm.
-    krum_byzantine:
-        Byzantine-client count ``f`` assumed by ``krum``/``multi_krum``;
-        ``None`` uses the maximal tolerable ``f = (n - 3) // 2``.
-    screen_updates:
-        Screen every incoming client update before aggregation (NaN/Inf
-        rejection, delta-norm bounds, distance-based outlier scores; see
-        :mod:`repro.fl.robust`).  Rejected clients count against the
-        ``min_participation`` quorum, so screening is normally combined
-        with ``min_participation < 1``.
-    nn_backend:
-        Array backend driving every ``repro.nn`` op for the run (see
-        :mod:`repro.nn.backend`).  ``"numpy"`` (default) is the
-        bit-identical reference; ``"accelerated"`` reuses im2col/GEMM
-        workspaces across steps.  Process-pool workers activate the same
-        backend, so coordinator and workers always agree.
-    compute_dtype:
-        Dtype policy for ``repro.nn``: ``"float64"`` (default, the paper's
-        precision) or ``"float32"`` (half the memory traffic; losses still
-        accumulate in float64).  Recorded in checkpoints together with
-        ``nn_backend`` — resume refuses a mismatched configuration.
-    buffer_size:
-        ``async`` backend only: how many admitted client updates the server
-        buffers before it aggregates them into the global model (FedBuff's
-        ``K``).  One :meth:`AsyncExecutor.execute` call corresponds to one
-        buffer flush, i.e. one aggregation step.
-    concurrency:
-        ``async`` backend only: cap on simultaneously in-flight client
-        trainings in the virtual-time simulation; ``None`` lets every
-        participant train concurrently.
-    staleness_policy / staleness_alpha / staleness_hinge:
-        ``async`` backend only: staleness-weight family applied to a
-        buffered delta whose base model is ``lag`` versions old (see
-        :func:`repro.fl.aggregation.staleness_weight`): ``constant`` keeps
-        weight 1, ``polynomial`` uses ``(1 + lag) ** -alpha``, ``hinge``
-        keeps weight 1 up to ``staleness_hinge`` and decays
-        ``1 / (alpha * (lag - hinge) + 1)`` beyond it.
-    staleness_budget:
-        ``async`` backend only: admission policy — an arriving update whose
-        version lag exceeds this budget is discarded as stale (recorded in
-        ``RoundMetrics.stale_clients``) instead of entering the buffer.
-        ``None`` admits any lag (down-weighted by the staleness policy).
-    screen_window:
-        ``async`` backend only: length of the sliding window of recently
-        accepted deltas that the streaming Byzantine screener uses as its
-        median reference (see :class:`repro.fl.robust.StreamingScreener`).
-    client_latency:
-        ``async`` backend only: baseline virtual training latency (seconds
-        of virtual time) per client task.  A task arrives at its dispatch
-        time plus the virtual cost of its failed attempts (timeouts and
-        backoffs), this latency, and the injected straggler delay and
-        lognormal jitter of the attempt that trained.  Only shapes arrival
-        *order*; no engine sleeps virtual time.
-    codec:
-        Update-compression codec applied at the executors' collection point
-        (see :mod:`repro.fl.communication`): ``"none"`` (dense, default),
-        ``"topk"`` (sparsification with error feedback), ``"qsgd"``
-        (stochastic quantization), or ``"delta"`` (float32 delta encoding).
-        Updates are decoded before screening/aggregation, so robust rules
-        always see real (post-wire) deltas.
-    topk_fraction:
-        ``topk`` codec: fraction of each float leaf's coordinates kept per
-        round (at least one per leaf).
-    qsgd_levels:
-        ``qsgd`` codec: quantization levels per sign, in ``[1, 127]``
-        (levels are shipped as signed int8).
-    gate_aggregate:
-        Server-side aggregate sanity gate: after the aggregation rule
-        merges the round's accepted updates, reject the flush when the
-        merged state is non-finite or its delta norm explodes past
-        ``gate_norm_multiplier`` times the round's median accepted delta
-        norm, re-aggregate without the offending updates, and record the
-        offenders in ``RoundMetrics.rejected_clients``.  The last line of
-        defense when screening is off or an attack slips through it.
-    gate_norm_multiplier:
-        Norm-explosion threshold of the aggregate gate, as a multiple of
-        the median accepted delta norm.
-    checkpoint_dir:
-        Directory for periodic run checkpoints (see
-        :mod:`repro.fl.checkpoint`); ``None`` (default) disables
-        checkpointing for experiment-driven simulations.
-    checkpoint_every:
-        Checkpoint cadence in completed rounds (with ``checkpoint_dir``).
-    checkpoint_keep:
-        Retain only the newest ``checkpoint_keep`` checkpoints — the
-        last-good chain that corruption recovery falls back along
-        (``0`` keeps all).
-    population:
-        Virtualized-federation client count (see
-        :class:`repro.fl.registry.ClientRegistry`).  ``None`` (default)
-        keeps the historical live-object path; setting it builds clients
-        lazily from ``(seed, client_id)`` so memory scales with the
-        *cohort*, not the population.
-    cohort_fraction:
-        Fraction of the population sampled per round under
-        virtualization; ``None`` selects every client (only sensible for
-        small populations).
-    shards:
-        Hierarchical-aggregation shard count (see
-        :class:`repro.fl.aggregation.ShardAggregator`).  ``1`` (default)
-        keeps flat aggregation; ``> 1`` folds the cohort edge → region →
-        root.  Sharded FedAvg is bitwise identical to flat; robust rules
-        apply shard-locally.
-    state_store:
-        Where virtualized per-client mutable state lives between rounds:
-        ``"memory"`` (default, everything resident) or ``"lru"`` (hot
-        cache of ``state_cache_size`` clients, rest spilled to disk;
-        evict/rehydrate is bit-identical).
-    state_cache_size:
-        Hot-tier capacity (client count) of the ``lru`` state store.
+#: A range check of :func:`knob`: ``(predicate, message)``.
+Check = Tuple[Callable[[Any], bool], str]
+_POSITIVE: Check = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE: Check = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_ONE: Check = (lambda v: v >= 1, "must be at least 1")
+_RATE: Check = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+_FRACTION: Check = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+
+
+def knob(
+    default: Any,
+    help: Optional[str] = None,
+    group: Optional[str] = None,
+    *,
+    flag: Optional[str] = None,
+    metavar: Optional[str] = None,
+    choices: Any = None,
+    check: Optional[Check] = None,
+    option: Optional[str] = None,
+) -> Any:
+    """A config field declaring one knob.
+
+    ``help`` gives the knob a CLI flag in section ``group`` of
+    :data:`KNOB_GROUPS`: ``--`` plus the field name in dashes, unless
+    ``flag`` renames it.  ``choices`` (a tuple, or a callable returning one)
+    and ``check`` (skipped for ``None``) are enforced at construction by
+    :func:`check_fields`.  ``option`` renames the knob where it is handed on
+    as a keyword (see :attr:`ExecutionConfig.aggregator_options`).
     """
+    metadata = dict(help=help, group=group, flag=flag, metavar=metavar)
+    metadata.update(choices=choices, check=check, option=option)
+    return field(default=default, metadata=metadata)
 
-    backend: str = "sequential"
-    num_workers: Optional[int] = None
-    wire_dtype: Optional[str] = None
-    round_timeout: Optional[float] = None
-    client_timeout: Optional[float] = None
-    max_retries: int = 0
-    retry_backoff_seconds: float = 0.05
-    retry_backoff_factor: float = 2.0
-    retry_backoff_max_seconds: float = 5.0
-    min_participation: float = 1.0
-    max_pool_respawns: int = 2
-    nn_debug: bool = False
-    profile_ops: bool = False
-    aggregator: str = "fedavg"
-    trim_fraction: float = 0.1
-    clip_norm: Optional[float] = None
-    krum_byzantine: Optional[int] = None
-    screen_updates: bool = False
-    nn_backend: str = "numpy"
-    compute_dtype: str = "float64"
-    buffer_size: int = 4
-    concurrency: Optional[int] = None
-    staleness_policy: str = "polynomial"
-    staleness_alpha: float = 0.5
-    staleness_hinge: int = 4
-    staleness_budget: Optional[int] = None
-    screen_window: int = 16
-    client_latency: float = 1.0
-    codec: str = "none"
-    topk_fraction: float = 0.05
-    qsgd_levels: int = 16
-    gate_aggregate: bool = False
-    gate_norm_multiplier: float = 10.0
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 1
-    checkpoint_keep: int = 3
-    population: Optional[int] = None
-    cohort_fraction: Optional[float] = None
-    shards: int = 1
-    state_store: str = "memory"
-    state_cache_size: int = 64
+
+def check_fields(config: Any) -> None:
+    """Enforce every field's declared ``choices`` and range ``check``."""
+    for f in fields(config):
+        value, check = getattr(config, f.name), f.metadata.get("check")
+        choices = f.metadata.get("choices")
+        choices = choices() if callable(choices) else choices
+        if choices is not None and value not in choices:
+            raise ValueError(f"{f.name} must be one of {choices}")
+        if check is not None and value is not None and not check[0](value):
+            raise ValueError(f"{f.name} {check[1]}")
+
+
+class _Knobs:
+    """Base of the config dataclasses: field checks run at construction."""
 
     def __post_init__(self) -> None:
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ValueError(f"backend must be one of {EXECUTION_BACKENDS}")
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        if self.wire_dtype not in (None, "float32", "float64"):
-            raise ValueError("wire_dtype must be None, 'float32' or 'float64'")
-        if self.round_timeout is not None and self.round_timeout <= 0:
-            raise ValueError("round_timeout must be positive")
-        if self.client_timeout is not None and self.client_timeout <= 0:
-            raise ValueError("client_timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff_seconds < 0 or self.retry_backoff_max_seconds < 0:
-            raise ValueError("retry backoff delays must be non-negative")
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError("retry_backoff_factor must be >= 1")
-        if not 0.0 < self.min_participation <= 1.0:
-            raise ValueError("min_participation must be in (0, 1]")
-        if self.max_pool_respawns < 0:
-            raise ValueError("max_pool_respawns must be non-negative")
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {AGGREGATORS}")
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ValueError("trim_fraction must be in [0, 0.5)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.krum_byzantine is not None and self.krum_byzantine < 0:
-            raise ValueError("krum_byzantine must be non-negative")
-        if self.buffer_size < 1:
-            raise ValueError("buffer_size must be at least 1")
-        if self.concurrency is not None and self.concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
-        if self.staleness_policy not in STALENESS_POLICIES:
-            raise ValueError(
-                f"staleness_policy must be one of {STALENESS_POLICIES}"
-            )
-        if self.staleness_alpha < 0:
-            raise ValueError("staleness_alpha must be non-negative")
-        if self.staleness_hinge < 0:
-            raise ValueError("staleness_hinge must be non-negative")
-        if self.staleness_budget is not None and self.staleness_budget < 0:
-            raise ValueError("staleness_budget must be non-negative")
-        if self.screen_window < 1:
-            raise ValueError("screen_window must be at least 1")
-        if self.client_latency < 0:
-            raise ValueError("client_latency must be non-negative")
-        if self.codec not in WIRE_CODECS:
-            raise ValueError(f"codec must be one of {WIRE_CODECS}")
-        if not 0.0 < self.topk_fraction <= 1.0:
-            raise ValueError("topk_fraction must be in (0, 1]")
-        if not 1 <= self.qsgd_levels <= 127:
-            raise ValueError("qsgd_levels must be in [1, 127]")
-        if self.gate_norm_multiplier <= 0:
-            raise ValueError("gate_norm_multiplier must be positive")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
-        if self.checkpoint_keep < 0:
-            raise ValueError("checkpoint_keep must be non-negative")
-        if self.population is not None and self.population < 1:
-            raise ValueError("population must be at least 1")
-        if self.cohort_fraction is not None and not 0.0 < self.cohort_fraction <= 1.0:
-            raise ValueError("cohort_fraction must be in (0, 1]")
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
-        # Imported lazily to keep repro.core free of an import-time cycle
-        # with the fl package.
-        from repro.fl.registry import STATE_STORES
-
-        if self.state_store not in STATE_STORES:
-            raise ValueError(f"state_store must be one of {STATE_STORES}")
-        if self.state_cache_size < 1:
-            raise ValueError("state_cache_size must be at least 1")
-        # Imported lazily: repro.nn.backend must stay importable without
-        # repro.core (the nn substrate has no core dependency).
-        from repro.nn.backend import available_backends, available_dtype_policies
-
-        if self.nn_backend not in available_backends():
-            raise ValueError(f"nn_backend must be one of {available_backends()}")
-        if self.compute_dtype not in available_dtype_policies():
-            raise ValueError(
-                f"compute_dtype must be one of {available_dtype_policies()}"
-            )
+        check_fields(self)
 
 
-@dataclass
-class FaultConfig:
+def _strip_optional(hint: Any) -> Any:
+    if typing.get_origin(hint) is typing.Union:
+        return next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    return hint
+
+
+class Knob(NamedTuple):
+    """A knob with a CLI flag: its dotted path from the root config, its
+    flag, its field, and the field's type (``Optional`` stripped)."""
+
+    path: str
+    flag: str
+    field: Field
+    kind: Any
+
+    @property
+    def dest(self) -> str:
+        """The argparse destination of :attr:`flag`."""
+        return self.flag[2:].replace("-", "_")
+
+
+def iter_knobs(cls: type, prefix: str = "") -> Iterator[Knob]:
+    """Every knob of ``cls`` that has a CLI flag, in declaration order.
+
+    A sub-config field without help text of its own contributes its
+    sub-config's knobs; one with help text is a switch that turns the
+    sub-config on at its defaults (``--screen-updates``).
+    """
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        kind = _strip_optional(hints[f.name])
+        if f.metadata.get("help"):
+            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+            yield Knob(prefix + f.name, flag, f, kind)
+        elif is_dataclass(kind):
+            yield from iter_knobs(kind, f"{prefix}{f.name}.")
+
+
+def _get(config: Any, path: str) -> Any:
+    return reduce(getattr, path.split("."), config)
+
+
+def _default(config: Any, path: str) -> Any:
+    head, _, rest = path.partition(".")
+    value = config.__dataclass_fields__[head].default
+    return _get(value, rest) if rest else value
+
+
+class UnreadKnobError(ValueError):
+    """A knob is set away from its default on a path that never reads it.
+
+    ``knob`` and ``reader`` are dotted field paths; the knob is read only
+    while ``reader`` holds one of ``values`` (``None``: any value but its
+    default).
+    """
+
+    def __init__(self, knob: str, reader: str, values: Optional[tuple]) -> None:
+        wanted = "set" if values is None else " or ".join(map(repr, values))
+        super().__init__(f"{knob} is only read when {reader} is {wanted}")
+        self.knob, self.reader, self.values = knob, reader, values
+
+
+@dataclass(frozen=True)
+class RetryBackoff(_Knobs):
+    """Exponential backoff schedule between retry attempts (virtual seconds).
+
+    Failed attempt ``k`` waits ``min(base_seconds * factor**k, max_seconds)``
+    virtual seconds before the next one.  Nothing sleeps; the async engine's
+    arrival schedule is the only consumer of the delay.
+    """
+
+    base_seconds: float = knob(0.05, check=_NON_NEGATIVE)
+    factor: float = knob(2.0, check=(lambda v: v >= 1.0, "must be >= 1"))
+    max_seconds: float = knob(5.0, check=_NON_NEGATIVE)
+
+    def delay(self, attempt: int) -> float:
+        """Virtual seconds between failed attempt ``attempt`` (0-based) and the next."""
+        return min(self.base_seconds * self.factor ** attempt, self.max_seconds)
+
+
+@dataclass(frozen=True)
+class FaultConfig(_Knobs):
     """Deterministic client-fault injection (see :mod:`repro.fl.faults`).
 
     Each rate is the per-(round, client, attempt) probability of that fault;
@@ -396,59 +279,63 @@ class FaultConfig:
         last-good recovery chain in :mod:`repro.fl.checkpoint`.
     seed:
         Root seed of the fault stream.
+
+    The experiments CLI sets the first four through ``--inject-faults``.
     """
 
-    crash_rate: float = 0.0
-    transient_rate: float = 0.0
-    straggler_rate: float = 0.0
-    straggler_delay_seconds: float = 0.0
-    worker_death_rate: float = 0.0
-    jitter_scale: float = 0.0
-    jitter_sigma: float = 0.75
-    wire_corrupt_rate: float = 0.0
-    checkpoint_corrupt_rate: float = 0.0
-    seed: int = 0
+    crash_rate: float = knob(0.0, check=_RATE)
+    transient_rate: float = knob(0.0, check=_RATE)
+    straggler_rate: float = knob(0.0, check=_RATE)
+    straggler_delay_seconds: float = knob(0.0, check=_NON_NEGATIVE)
+    worker_death_rate: float = knob(0.0, check=_RATE)
+    jitter_scale: float = knob(
+        0.0, "median of the heavy-tailed lognormal arrival jitter in simulated "
+        "seconds; 0 disables it", "async", metavar="SCALE", check=_NON_NEGATIVE,
+    )
+    jitter_sigma: float = knob(
+        0.75, "log-scale spread of the arrival jitter", "async",
+        metavar="SIGMA", check=_NON_NEGATIVE,
+    )
+    wire_corrupt_rate: float = knob(
+        0.0, "per-transmission probability of corrupting an uploaded update "
+        "payload (bit flip / truncation / header garbling); corrupted deliveries "
+        "are retried under --max-retries, then quarantined",
+        "chaos", flag="--chaos-wire", metavar="RATE", check=_RATE,
+    )
+    checkpoint_corrupt_rate: float = knob(
+        0.0, "per-checkpoint probability of corrupting the file just written; "
+        "resume falls back along the last-good chain",
+        "chaos", flag="--chaos-checkpoint", metavar="RATE", check=_RATE,
+    )
+    seed: int = knob(
+        0, "root seed of the injected fault schedule", "faults",
+        flag="--fault-seed", metavar="SEED",
+    )
 
     def __post_init__(self) -> None:
-        rates = (
+        super().__post_init__()
+        if sum(self._client_rates) > 1.0 + 1e-12:
+            raise ValueError("fault rates must sum to at most 1")
+
+    @property
+    def _client_rates(self) -> Tuple[float, ...]:
+        return (
             self.crash_rate,
             self.transient_rate,
             self.straggler_rate,
             self.worker_death_rate,
         )
-        for rate in rates:
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("fault rates must be in [0, 1]")
-        if sum(rates) > 1.0 + 1e-12:
-            raise ValueError("fault rates must sum to at most 1")
-        if self.straggler_delay_seconds < 0:
-            raise ValueError("straggler_delay_seconds must be non-negative")
-        if self.jitter_scale < 0:
-            raise ValueError("jitter_scale must be non-negative")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        if not 0.0 <= self.wire_corrupt_rate <= 1.0:
-            raise ValueError("wire_corrupt_rate must be in [0, 1]")
-        if not 0.0 <= self.checkpoint_corrupt_rate <= 1.0:
-            raise ValueError("checkpoint_corrupt_rate must be in [0, 1]")
 
     @property
     def enabled(self) -> bool:
+        channels = (self.wire_corrupt_rate, self.checkpoint_corrupt_rate)
         return self.jitter_scale > 0.0 or any(
-            rate > 0.0
-            for rate in (
-                self.crash_rate,
-                self.transient_rate,
-                self.straggler_rate,
-                self.worker_death_rate,
-                self.wire_corrupt_rate,
-                self.checkpoint_corrupt_rate,
-            )
+            rate > 0.0 for rate in self._client_rates + channels
         )
 
 
-@dataclass
-class ByzantineConfig:
+@dataclass(frozen=True)
+class ByzantineConfig(_Knobs):
     """Deterministic malicious-client update corruption (see
     :mod:`repro.fl.malicious`).
 
@@ -468,7 +355,7 @@ class ByzantineConfig:
         ``gaussian_noise`` adds seed-derived N(0, ``noise_std``) noise, and
         ``nan_bomb`` returns an all-NaN/Inf state.  ``"none"`` disables.
     clients:
-        Ids of the malicious clients.
+        Ids of the malicious clients (``--byzantine-clients`` on the CLI).
     scale:
         Delta amplification of ``model_replacement``.
     noise_std:
@@ -479,33 +366,35 @@ class ByzantineConfig:
         Root seed of the attack's noise stream.
     """
 
-    attack: str = "none"
+    attack: str = knob(
+        "none", "attack the malicious clients mount on their returned updates",
+        "robust", flag="--byzantine-attack", choices=BYZANTINE_ATTACKS,
+    )
     clients: Tuple[int, ...] = ()
-    scale: float = 10.0
-    noise_std: float = 1.0
-    start_round: int = 0
-    seed: int = 0
+    scale: float = knob(
+        10.0, "boost factor of the model_replacement attack", "robust",
+        flag="--byzantine-scale", metavar="SCALE", check=_POSITIVE,
+    )
+    noise_std: float = knob(1.0, check=_NON_NEGATIVE)
+    start_round: int = knob(0, check=_NON_NEGATIVE)
+    seed: int = knob(
+        0, "root seed of the gaussian_noise attack stream", "robust",
+        flag="--byzantine-seed", metavar="SEED",
+    )
 
     def __post_init__(self) -> None:
-        if self.attack not in BYZANTINE_ATTACKS:
-            raise ValueError(f"attack must be one of {BYZANTINE_ATTACKS}")
-        self.clients = tuple(int(c) for c in self.clients)
+        super().__post_init__()
+        object.__setattr__(self, "clients", tuple(int(c) for c in self.clients))
         if any(c < 0 for c in self.clients):
             raise ValueError("client ids must be non-negative")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if self.start_round < 0:
-            raise ValueError("start_round must be non-negative")
 
     @property
     def enabled(self) -> bool:
         return self.attack != "none" and bool(self.clients)
 
 
-@dataclass
-class ScreeningConfig:
+@dataclass(frozen=True)
+class ScreeningConfig(_Knobs):
     """Server-side update screening (see :mod:`repro.fl.robust`).
 
     Every rule is independent and deterministic; an update failing any rule
@@ -537,27 +426,17 @@ class ScreeningConfig:
         (NaN/Inf and absolute-norm rejection always apply).
     """
 
-    max_delta_norm: Optional[float] = None
-    norm_multiplier: float = 4.0
-    outlier_threshold: float = 4.0
-    min_cosine: Optional[float] = None
-    min_updates: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_delta_norm is not None and self.max_delta_norm <= 0:
-            raise ValueError("max_delta_norm must be positive")
-        if self.norm_multiplier < 0:
-            raise ValueError("norm_multiplier must be non-negative")
-        if self.outlier_threshold < 0:
-            raise ValueError("outlier_threshold must be non-negative")
-        if self.min_cosine is not None and not -1.0 <= self.min_cosine <= 1.0:
-            raise ValueError("min_cosine must be in [-1, 1]")
-        if self.min_updates < 2:
-            raise ValueError("min_updates must be at least 2")
+    max_delta_norm: Optional[float] = knob(None, check=_POSITIVE)
+    norm_multiplier: float = knob(4.0, check=_NON_NEGATIVE)
+    outlier_threshold: float = knob(4.0, check=_NON_NEGATIVE)
+    min_cosine: Optional[float] = knob(
+        None, check=(lambda v: -1.0 <= v <= 1.0, "must be in [-1, 1]")
+    )
+    min_updates: int = knob(3, check=(lambda v: v >= 2, "must be at least 2"))
 
 
-@dataclass
-class CheckpointConfig:
+@dataclass(frozen=True)
+class CheckpointConfig(_Knobs):
     """Periodic simulation checkpointing (see :mod:`repro.fl.checkpoint`).
 
     Attributes
@@ -567,22 +446,306 @@ class CheckpointConfig:
     every:
         Checkpoint cadence in completed rounds; ``0`` disables.
     keep:
-        Retain only the newest ``keep`` checkpoints (``0`` keeps all).
+        Retain only the newest ``keep`` checkpoints — the last-good chain
+        that corruption recovery falls back along (``0`` keeps all).
     """
 
-    directory: Optional[str] = None
-    every: int = 0
-    keep: int = 3
-
-    def __post_init__(self) -> None:
-        if self.every < 0:
-            raise ValueError("every must be non-negative")
-        if self.keep < 0:
-            raise ValueError("keep must be non-negative")
+    directory: Optional[str] = knob(
+        None, "checkpoint federated runs into DIR, one subdirectory per "
+        "federation (periodic, digest-protected; resume skips corrupted files)",
+        "chaos", flag="--checkpoint-dir", metavar="DIR",
+    )
+    every: int = knob(
+        1, "checkpoint cadence in completed rounds", "chaos",
+        flag="--checkpoint-every", metavar="ROUNDS", check=_NON_NEGATIVE,
+    )
+    keep: int = knob(
+        3, "retain the newest K checkpoints as the last-good fallback chain; "
+        "0 keeps all", "chaos", flag="--checkpoint-keep", metavar="K",
+        check=_NON_NEGATIVE,
+    )
 
     @property
     def enabled(self) -> bool:
         return self.directory is not None and self.every > 0
+
+
+@dataclass(frozen=True)
+class EngineConfig(_Knobs):
+    """The knobs a round executor reads (see :mod:`repro.fl.executor`).
+
+    Its fields are exactly the knob keywords of :func:`repro.fl.executor.
+    make_executor` (which also takes pre-built injectors), so an engine
+    rejects a keyword it never reads (``aggregator=``, say) as an unexpected
+    argument.  Knobs without help text have no CLI flag:
+
+    * ``round_timeout`` — the process engine's wall-clock budget for one
+      round; expiry raises instead of hanging;
+    * ``max_pool_respawns`` — how many times per round the process engine
+      respawns a worker pool that died before giving up;
+    * ``backoff`` — the virtual-time retry schedule (:class:`RetryBackoff`);
+    * ``codec_seed`` — root seed of the ``qsgd`` codec's stochastic rounding.
+
+    The sequential, process and batched engines are bitwise identical on
+    seeded runs.
+    """
+
+    backend: str = knob(
+        "sequential", "round-execution engine for federated experiments "
+        "(process = parallel clients via a persistent worker pool; batched = "
+        "same-architecture clients stacked into grouped kernels, "
+        "bitwise-identical to sequential; async = buffered streaming "
+        "aggregation with staleness weighting over a simulated arrival "
+        "schedule)", choices=EXECUTION_BACKENDS,
+    )
+    num_workers: Optional[int] = knob(
+        None, "worker processes for --backend process (default: all cores)",
+        metavar="N", check=_AT_LEAST_ONE,
+    )
+    round_timeout: Optional[float] = knob(None, check=_POSITIVE)
+    max_pool_respawns: int = knob(2, check=_NON_NEGATIVE)
+    max_retries: int = knob(
+        0, "retry a transiently-failing client up to N times per round with "
+        "exponential backoff; 0 fails fast", "faults", metavar="N",
+        check=_NON_NEGATIVE,
+    )
+    backoff: RetryBackoff = RetryBackoff()
+    client_timeout: Optional[float] = knob(
+        None, "per-client straggler budget: an injected straggler delay past "
+        "it times out and retries, and the process backend abandons a "
+        "genuinely stalled worker (default: none)", "faults",
+        metavar="SECONDS", check=_POSITIVE,
+    )
+    min_participation: float = knob(
+        1.0, "fraction of the round's clients that must survive for the round "
+        "to aggregate over the survivors; 1.0 aborts on any drop", "faults",
+        metavar="FRACTION", check=_FRACTION,
+    )
+    fault_config: FaultConfig = FaultConfig()
+    byzantine_config: ByzantineConfig = ByzantineConfig()
+    screening: Optional[ScreeningConfig] = knob(
+        None, "quarantine anomalous client updates before aggregation "
+        "(NaN/Inf, norm bounds, distance/direction outliers); rejected "
+        "clients count against --min-participation",
+        "robust", flag="--screen-updates",
+    )
+    buffer_size: int = knob(
+        4, "admitted updates per aggregation step", "async", metavar="K",
+        check=_AT_LEAST_ONE,
+    )
+    concurrency: Optional[int] = knob(
+        None, "max clients training at once in the simulated schedule "
+        "(default: all idle participants)", "async", metavar="N",
+        check=_AT_LEAST_ONE,
+    )
+    staleness_policy: str = knob(
+        "polynomial", "decay of an update's weight with its version lag",
+        "async", choices=STALENESS_POLICIES,
+    )
+    staleness_alpha: float = knob(
+        0.5, "decay exponent/slope of the staleness policy", "async",
+        metavar="ALPHA", check=_NON_NEGATIVE,
+    )
+    staleness_hinge: int = knob(
+        4, "full-weight grace window of the hinge policy", "async",
+        metavar="LAG", check=_NON_NEGATIVE,
+    )
+    staleness_budget: Optional[int] = knob(
+        None, "discard updates older than this many versions instead of "
+        "down-weighting them (default: keep everything)", "async",
+        metavar="LAG", check=_NON_NEGATIVE,
+    )
+    screen_window: int = knob(
+        16, "sliding reference window of the streaming screener "
+        "(with --screen-updates)", "async", metavar="N", check=_AT_LEAST_ONE,
+    )
+    client_latency: float = knob(
+        1.0, "baseline simulated training latency per client", "async",
+        metavar="SECONDS", check=_NON_NEGATIVE,
+    )
+    codec: str = knob(
+        "none", "wire codec for client uploads: none (dense), topk "
+        "(sparsification with error feedback), qsgd (stochastic quantization), "
+        "delta (float32 delta encoding)", "wire", choices=WIRE_CODECS,
+    )
+    topk_fraction: float = knob(
+        0.05, "fraction of coordinates the topk codec keeps per leaf", "wire",
+        metavar="FRACTION", check=_FRACTION,
+    )
+    qsgd_levels: int = knob(
+        16, "quantization levels per sign for the qsgd codec, 1-127", "wire",
+        metavar="LEVELS", check=(lambda v: 1 <= v <= 127, "must be in [1, 127]"),
+    )
+    codec_seed: int = 0
+
+    #: The compatibility matrix, one rule per row: the ``knobs`` are read
+    #: only while field ``reader`` holds one of ``values`` (``None``: any
+    #: value but its default).  See :meth:`validate`.
+    READ_BY = (
+        (("num_workers", "round_timeout", "max_pool_respawns"), "backend", ("process",)),
+        (
+            ("buffer_size", "concurrency", "staleness_policy", "staleness_alpha",
+             "staleness_hinge", "staleness_budget", "screen_window", "client_latency"),
+            "backend", ("async",),
+        ),
+        (("topk_fraction",), "codec", ("topk",)),
+        (("qsgd_levels", "codec_seed"), "codec", ("qsgd",)),
+        (("byzantine_config.attack",), "byzantine_config.clients", None),
+        (("byzantine_config.clients",), "byzantine_config.attack", None),
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject a knob set away from its default on a path that never
+        reads it (:attr:`READ_BY`), raising :class:`UnreadKnobError`."""
+        for knobs, reader, values in self.READ_BY:
+            current = _get(self, reader)
+            if values is None:
+                read = current != _default(self, reader)
+            else:
+                read = current in values
+            if read:
+                continue
+            for name in knobs:
+                if _get(self, name) != _default(self, name):
+                    raise UnreadKnobError(name, reader, values)
+
+
+@dataclass(frozen=True)
+class ExecutionConfig(EngineConfig):
+    """How the experiments run federated rounds: the one execution config.
+
+    Extends :class:`EngineConfig` with the knobs the server, the nn
+    substrate and the simulation read, and holds every sub-config: faults
+    (:class:`FaultConfig`), attacks (:class:`ByzantineConfig`), screening
+    (:class:`ScreeningConfig`), retry backoff (:class:`RetryBackoff`) and
+    checkpoints (:class:`CheckpointConfig`).  Each knob's meaning is its
+    field's help text; :meth:`from_flags` builds one from the parsed
+    command line.  Where screening happens is decided in one place: the
+    async engine screens each arrival at admission, and
+    :func:`repro.experiments.common.configure_server_robustness` hands
+    screening to the server for the synchronous engines.
+    """
+
+    nn_backend: str = knob(
+        "numpy", "array backend for all nn ops (numpy = bit-identical "
+        "reference; accelerated = workspace-cached im2col + preallocated conv "
+        "GEMMs)", "nn", choices=available_backends,
+    )
+    compute_dtype: str = knob(
+        "float64", "nn compute precision (float32 halves memory traffic; "
+        "losses still accumulate in float64, but results are no longer bitwise "
+        "comparable to the float64 baseline)", "nn",
+        choices=available_dtype_policies,
+    )
+    nn_debug: bool = knob(
+        False, "enable autograd invariant guards (grad shape/dtype checks, "
+        "NaN/Inf anomaly detection); equivalent to REPRO_NN_DEBUG=1",
+        "diagnostics",
+    )
+    profile_ops: bool = knob(
+        False, "collect per-op call/time/bytes counters and print a table "
+        "after the selected experiments", "diagnostics",
+    )
+    aggregator: str = knob(
+        "fedavg", "server aggregation rule; the robust rules bound a "
+        "Byzantine minority's influence", "robust", choices=AGGREGATORS,
+    )
+    trim_fraction: float = knob(
+        0.1, "per-end trim fraction for --aggregator trimmed_mean", "robust",
+        metavar="FRACTION", check=(lambda v: 0.0 <= v < 0.5, "must be in [0, 0.5)"),
+    )
+    clip_norm: Optional[float] = knob(
+        None, "delta-norm clip for --aggregator norm_clip (default: the "
+        "round's median delta norm)", "robust", metavar="NORM", check=_POSITIVE,
+    )
+    krum_byzantine: Optional[int] = knob(
+        None, "assumed Byzantine count f for --aggregator krum/multi_krum "
+        "(default: the maximum tolerable (n-3)//2)", "robust", metavar="F",
+        check=_NON_NEGATIVE, option="num_byzantine",
+    )
+    gate_aggregate: bool = knob(
+        False, "enable the server-side aggregate sanity gate: reject "
+        "non-finite or norm-exploded flushes and re-aggregate without the "
+        "offending updates", "chaos",
+    )
+    gate_norm_multiplier: float = knob(
+        10.0, "norm-explosion threshold of the aggregate gate, as a multiple "
+        "of the round's median accepted delta norm", "chaos", metavar="X",
+        check=_POSITIVE,
+    )
+    checkpoint: CheckpointConfig = CheckpointConfig()
+    population: Optional[int] = knob(
+        None, "virtualize the federation to N lazily-materialized clients "
+        "(default: live client objects, the historical path)", "scaling",
+        metavar="N", check=_AT_LEAST_ONE,
+    )
+    cohort_fraction: Optional[float] = knob(
+        None, "fraction of the population sampled per round under "
+        "--population (default: every client)", "scaling", metavar="FRACTION",
+        check=_FRACTION,
+    )
+    shards: int = knob(
+        1, "hierarchical-aggregation shard count; sharded FedAvg is bitwise "
+        "identical to flat, robust rules apply shard-locally; 1 is flat",
+        "scaling", metavar="S", check=_AT_LEAST_ONE,
+    )
+    state_store: str = knob(
+        "memory", "where virtualized per-client state lives between rounds: "
+        "memory (all resident) or lru (hot cache + disk spill)", "scaling",
+        choices=STATE_STORES,
+    )
+    state_cache_size: int = knob(
+        64, "hot-tier client capacity of --state-store lru", "scaling",
+        metavar="N", check=_AT_LEAST_ONE,
+    )
+
+    READ_BY = EngineConfig.READ_BY + (
+        (("trim_fraction",), "aggregator", ("trimmed_mean",)),
+        (("clip_norm",), "aggregator", ("norm_clip",)),
+        (("krum_byzantine",), "aggregator", ("krum", "multi_krum")),
+        (("gate_norm_multiplier",), "gate_aggregate", (True,)),
+        (("checkpoint.every", "checkpoint.keep"), "checkpoint.directory", None),
+    )
+
+    @classmethod
+    def from_flags(
+        cls, flags: Mapping[str, Any], **extra: Mapping[str, Any]
+    ) -> "ExecutionConfig":
+        """Build a config from parsed CLI flags (``dest -> value``, e.g.
+        ``vars(args)``).  ``extra`` adds keywords to a sub-config field, e.g.
+        ``fault_config={"crash_rate": 0.1}`` from a composite flag."""
+        kwargs: Dict[str, Dict[str, Any]] = {"": {}}
+        for knob_ in iter_knobs(cls):
+            owner, _, name = knob_.path.rpartition(".")
+            value = flags[knob_.dest]
+            if is_dataclass(knob_.kind):
+                value = knob_.kind() if value else None
+            kwargs.setdefault(owner, {})[name] = value
+        for owner, values in extra.items():
+            kwargs.setdefault(owner, {}).update(values)
+        top, hints = kwargs.pop(""), typing.get_type_hints(cls)
+        for owner, values in kwargs.items():
+            top[owner] = _strip_optional(hints[owner])(**values)
+        return cls(**top)
+
+    @property
+    def aggregator_options(self) -> Dict[str, Any]:
+        """``FLServer.set_aggregator`` keywords for the selected rule: the
+        knobs :attr:`READ_BY` has it read, plus the shard count."""
+        declared = self.__dataclass_fields__
+        options = {
+            declared[name].metadata["option"] or name: getattr(self, name)
+            for names, reader, values in self.READ_BY
+            if reader == "aggregator" and self.aggregator in values
+            for name in names
+        }
+        if self.shards > 1:
+            options["shards"] = self.shards
+        return options
 
 
 @dataclass

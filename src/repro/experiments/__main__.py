@@ -5,6 +5,13 @@ Usage::
     python -m repro.experiments --list
     python -m repro.experiments table5 fig8 --profile quick
     python -m repro.experiments --all --profile smoke
+
+Every execution flag is generated from a field of
+:class:`~repro.core.config.ExecutionConfig` (its name, type, default,
+choices and help); only the composite ``--inject-faults`` and
+``--byzantine-clients`` specs are written here.  A combination the config
+rejects — a knob set on a path that never reads it — is a usage error
+(exit 2), reported before anything trains.
 """
 
 from __future__ import annotations
@@ -12,7 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import is_dataclass
+from typing import Dict, Optional, Tuple
 
+from repro.core.config import KNOB_GROUPS, ExecutionConfig, UnreadKnobError, iter_knobs
 from repro.experiments import format_table, get_profile, list_experiments, run_experiment
 from repro.utils.logging import enable_console_logging
 
@@ -43,99 +53,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose", action="store_true", help="enable progress logging to stderr"
     )
-    parser.add_argument(
-        "--backend",
-        default="sequential",
-        choices=("sequential", "process", "batched", "async"),
-        help="round-execution engine for federated experiments "
-        "(process = parallel clients via a persistent worker pool; "
-        "batched = same-architecture clients stacked into grouped kernels, "
-        "bitwise-identical to sequential; async = buffered streaming "
-        "aggregation with staleness weighting over a simulated arrival "
-        "schedule)",
-    )
-    parser.add_argument(
-        "--num-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --backend process (default: all cores)",
-    )
-    parser.add_argument(
-        "--wire-dtype",
-        default=None,
-        choices=("float32", "float64"),
-        help="compress broadcast/update payloads to this dtype "
-        "(float32 halves traffic but breaks bitwise reproducibility)",
-    )
-    nn_group = parser.add_argument_group(
-        "nn backend",
-        "array backend and compute precision for the repro.nn substrate "
-        "(see repro.nn.backend)",
-    )
-    nn_group.add_argument(
-        "--nn-backend",
-        default="numpy",
-        choices=("numpy", "accelerated"),
-        help="array backend for all nn ops (numpy = bit-identical reference; "
-        "accelerated = workspace-cached im2col + preallocated conv GEMMs)",
-    )
-    nn_group.add_argument(
-        "--compute-dtype",
-        default="float64",
-        choices=("float64", "float32"),
-        help="nn compute precision (float32 halves memory traffic; losses "
-        "still accumulate in float64, but results are no longer bitwise "
-        "comparable to the float64 baseline)",
-    )
-    diag = parser.add_argument_group(
-        "diagnostics",
-        "autograd correctness guards and op-level profiling "
-        "(see repro.nn.diagnostics)",
-    )
-    diag.add_argument(
-        "--nn-debug",
-        action="store_true",
-        help="enable autograd invariant guards (grad shape/dtype checks, "
-        "NaN/Inf anomaly detection); equivalent to REPRO_NN_DEBUG=1",
-    )
-    diag.add_argument(
-        "--profile-ops",
-        action="store_true",
-        help="collect per-op call/time/bytes counters and print a table "
-        "after the selected experiments",
-    )
-    fault = parser.add_argument_group(
-        "fault tolerance",
-        "graceful degradation of federated rounds (defaults preserve the "
-        "paper's fail-fast all-participants protocol)",
-    )
-    fault.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry a transiently-failing client up to N times per round "
-        "with exponential backoff (default: 0, fail fast)",
-    )
-    fault.add_argument(
-        "--client-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-client straggler budget; slower clients are dropped from "
-        "the round (process backend)",
-    )
-    fault.add_argument(
-        "--min-participation",
-        type=float,
-        default=1.0,
-        metavar="FRACTION",
-        help="fraction of the round's clients that must survive for the "
-        "round to aggregate over the survivors (default: 1.0 = abort on "
-        "any drop)",
-    )
-    fault.add_argument(
+    sections = {None: parser}
+    for knob in iter_knobs(ExecutionConfig):
+        meta, default = knob.field.metadata, knob.field.default
+        group = meta["group"]
+        if group not in sections:
+            sections[group] = parser.add_argument_group(*KNOB_GROUPS[group])
+        if knob.kind is bool or is_dataclass(knob.kind):
+            sections[group].add_argument(knob.flag, action="store_true", help=meta["help"])
+            continue
+        choices = meta["choices"]
+        sections[group].add_argument(
+            knob.flag,
+            default=default,
+            type=knob.kind if knob.kind in (int, float) else None,
+            choices=choices() if callable(choices) else choices,
+            metavar=meta["metavar"],
+            help=meta["help"] + ("" if default is None else " (default: %(default)s)"),
+        )
+    sections["faults"].add_argument(
         "--inject-faults",
         default=None,
         metavar="CRASH,TRANSIENT,STRAGGLER,DELAY",
@@ -143,447 +79,78 @@ def build_parser() -> argparse.ArgumentParser:
         "crash/transient/straggler rates in [0,1] plus the straggler delay "
         "in seconds (e.g. 0.05,0.1,0.1,2.0)",
     )
-    fault.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="root seed of the injected fault schedule (default: 0)",
-    )
-    chaos = parser.add_argument_group(
-        "chaos engineering",
-        "seeded wire/checkpoint corruption and recovery knobs for chaos "
-        "drills (see DESIGN.md's fault taxonomy; replays bit-identically "
-        "under the same --fault-seed)",
-    )
-    chaos.add_argument(
-        "--chaos-wire",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="per-transmission probability of corrupting an uploaded update "
-        "payload (bit flip / truncation / header garbling); corrupted "
-        "deliveries are retried under --max-retries, then quarantined "
-        "(default: 0)",
-    )
-    chaos.add_argument(
-        "--chaos-checkpoint",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="per-checkpoint probability of corrupting the file just "
-        "written; resume falls back along the last-good chain "
-        "(default: 0)",
-    )
-    chaos.add_argument(
-        "--gate-aggregate",
-        action="store_true",
-        help="enable the server-side aggregate sanity gate: reject "
-        "non-finite or norm-exploded flushes and re-aggregate without the "
-        "offending updates",
-    )
-    chaos.add_argument(
-        "--gate-norm-multiplier",
-        type=float,
-        default=10.0,
-        metavar="X",
-        help="norm-explosion threshold of the aggregate gate, as a multiple "
-        "of the round's median accepted delta norm (default: 10)",
-    )
-    chaos.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="checkpoint federated runs into DIR (periodic, digest-"
-        "protected; resume skips corrupted files)",
-    )
-    chaos.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="ROUNDS",
-        help="checkpoint cadence in completed rounds (default: 1)",
-    )
-    chaos.add_argument(
-        "--checkpoint-keep",
-        type=int,
-        default=3,
-        metavar="K",
-        help="retain the newest K checkpoints as the last-good fallback "
-        "chain; 0 keeps all (default: 3)",
-    )
-    asynchronous = parser.add_argument_group(
-        "asynchronous execution",
-        "buffered streaming aggregation for --backend async "
-        "(see repro.fl.async_engine)",
-    )
-    asynchronous.add_argument(
-        "--buffer-size",
-        type=int,
-        default=4,
-        metavar="K",
-        help="admitted updates per aggregation step (default: 4)",
-    )
-    asynchronous.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max clients training at once in the simulated schedule "
-        "(default: all idle participants)",
-    )
-    asynchronous.add_argument(
-        "--staleness-policy",
-        default="polynomial",
-        choices=("constant", "polynomial", "hinge"),
-        help="decay of an update's weight with its version lag "
-        "(default: polynomial)",
-    )
-    asynchronous.add_argument(
-        "--staleness-alpha",
-        type=float,
-        default=0.5,
-        metavar="ALPHA",
-        help="decay exponent/slope of the staleness policy (default: 0.5)",
-    )
-    asynchronous.add_argument(
-        "--staleness-hinge",
-        type=int,
-        default=4,
-        metavar="LAG",
-        help="full-weight grace window of the hinge policy (default: 4)",
-    )
-    asynchronous.add_argument(
-        "--staleness-budget",
-        type=int,
-        default=None,
-        metavar="LAG",
-        help="discard updates older than this many versions instead of "
-        "down-weighting them (default: keep everything)",
-    )
-    asynchronous.add_argument(
-        "--screen-window",
-        type=int,
-        default=16,
-        metavar="N",
-        help="sliding reference window of the streaming screener "
-        "(with --screen-updates; default: 16)",
-    )
-    asynchronous.add_argument(
-        "--client-latency",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="baseline simulated training latency per client (default: 1.0)",
-    )
-    asynchronous.add_argument(
-        "--jitter-scale",
-        type=float,
-        default=0.0,
-        metavar="SCALE",
-        help="median of the heavy-tailed lognormal arrival jitter in "
-        "simulated seconds (default: 0 = no jitter)",
-    )
-    asynchronous.add_argument(
-        "--jitter-sigma",
-        type=float,
-        default=0.75,
-        metavar="SIGMA",
-        help="log-scale spread of the arrival jitter (default: 0.75)",
-    )
-    from repro.core.config import AGGREGATORS, BYZANTINE_ATTACKS, WIRE_CODECS
-
-    compression = parser.add_argument_group(
-        "communication compression",
-        "update-compression codecs applied at the executors' collection "
-        "point (see repro.fl.communication); defaults ship dense updates",
-    )
-    compression.add_argument(
-        "--codec",
-        default="none",
-        choices=WIRE_CODECS,
-        help="wire codec for client uploads: none (dense), topk "
-        "(sparsification with error feedback), qsgd (stochastic "
-        "quantization), delta (float32 delta encoding) (default: none)",
-    )
-    compression.add_argument(
-        "--topk-fraction",
-        type=float,
-        default=0.05,
-        metavar="FRACTION",
-        help="fraction of coordinates the topk codec keeps per leaf "
-        "(default: 0.05)",
-    )
-    compression.add_argument(
-        "--qsgd-levels",
-        type=int,
-        default=16,
-        metavar="LEVELS",
-        help="quantization levels per sign for the qsgd codec, 1-127 "
-        "(default: 16)",
-    )
-
-    from repro.fl.registry import STATE_STORES
-
-    scaling = parser.add_argument_group(
-        "scaling",
-        "client virtualization and hierarchical aggregation for large "
-        "populations (see repro.fl.registry; memory scales with the cohort, "
-        "not the population)",
-    )
-    scaling.add_argument(
-        "--population",
-        type=int,
-        default=None,
-        metavar="N",
-        help="virtualize the federation to N lazily-materialized clients "
-        "(default: live client objects, the historical path)",
-    )
-    scaling.add_argument(
-        "--cohort-fraction",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fraction of the population sampled per round under "
-        "--population (default: every client)",
-    )
-    scaling.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="S",
-        help="hierarchical-aggregation shard count; sharded FedAvg is "
-        "bitwise identical to flat, robust rules apply shard-locally "
-        "(default: 1 = flat)",
-    )
-    scaling.add_argument(
-        "--state-store",
-        default="memory",
-        choices=STATE_STORES,
-        help="where virtualized per-client state lives between rounds: "
-        "memory (all resident) or lru (hot cache + disk spill) "
-        "(default: memory)",
-    )
-    scaling.add_argument(
-        "--state-cache-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="hot-tier client capacity of --state-store lru (default: 64)",
-    )
-
-    robust = parser.add_argument_group(
-        "Byzantine robustness",
-        "malicious-client update attacks and the server-side defenses "
-        "(defaults preserve plain FedAvg over trusted clients)",
-    )
-    robust.add_argument(
-        "--aggregator",
-        default="fedavg",
-        choices=AGGREGATORS,
-        help="server aggregation rule (default: fedavg; the robust rules "
-        "bound a Byzantine minority's influence)",
-    )
-    robust.add_argument(
-        "--trim-fraction",
-        type=float,
-        default=0.1,
-        metavar="FRACTION",
-        help="per-end trim fraction for --aggregator trimmed_mean "
-        "(default: 0.1)",
-    )
-    robust.add_argument(
-        "--clip-norm",
-        type=float,
-        default=None,
-        metavar="NORM",
-        help="delta-norm clip for --aggregator norm_clip "
-        "(default: the round's median delta norm)",
-    )
-    robust.add_argument(
-        "--krum-byzantine",
-        type=int,
-        default=None,
-        metavar="F",
-        help="assumed Byzantine count f for --aggregator krum/multi_krum "
-        "(default: the maximum tolerable (n-3)//2)",
-    )
-    robust.add_argument(
-        "--screen-updates",
-        action="store_true",
-        help="quarantine anomalous client updates before aggregation "
-        "(NaN/Inf, norm bounds, distance/direction outliers); rejected "
-        "clients count against --min-participation",
-    )
-    robust.add_argument(
+    sections["robust"].add_argument(
         "--byzantine-clients",
         default=None,
         metavar="ID[,ID...]",
         help="comma-separated client ids that mount --byzantine-attack "
         "(e.g. 0,3)",
     )
-    robust.add_argument(
-        "--byzantine-attack",
-        default="none",
-        choices=BYZANTINE_ATTACKS,
-        help="attack the malicious clients mount on their returned updates",
-    )
-    robust.add_argument(
-        "--byzantine-scale",
-        type=float,
-        default=10.0,
-        metavar="SCALE",
-        help="boost factor of the model_replacement attack (default: 10)",
-    )
-    robust.add_argument(
-        "--byzantine-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="root seed of the gaussian_noise attack stream (default: 0)",
-    )
     return parser
 
 
-def parse_fault_config(
-    spec,
-    seed,
-    jitter_scale=0.0,
-    jitter_sigma=0.75,
-    wire_rate=0.0,
-    checkpoint_rate=0.0,
-):
-    """Parse the --inject-faults CRASH,TRANSIENT,STRAGGLER,DELAY spec.
-
-    ``wire_rate``/``checkpoint_rate`` (the --chaos-* flags) enable the
-    corruption channels on top of — or, when no client-fault spec is
-    given, instead of — the training-fault schedule.
-    """
+def _fault_spec(spec: Optional[str]) -> Dict[str, float]:
+    """The FaultConfig rates of the --inject-faults composite spec."""
     if spec is None:
-        if jitter_scale <= 0.0 and wire_rate <= 0.0 and checkpoint_rate <= 0.0:
-            return None
-        # Chaos/jitter-only schedule: no training failures.
-        from repro.core.config import FaultConfig
-
-        return FaultConfig(
-            jitter_scale=jitter_scale,
-            jitter_sigma=jitter_sigma,
-            wire_corrupt_rate=wire_rate,
-            checkpoint_corrupt_rate=checkpoint_rate,
-            seed=seed,
-        )
-    from repro.core.config import FaultConfig
-
+        return {}
     parts = [float(part) for part in spec.split(",")]
     if len(parts) != 4:
-        raise SystemExit(
+        raise ValueError(
             "--inject-faults expects four comma-separated values: "
             "crash,transient,straggler rates and the straggler delay"
         )
-    crash, transient, straggler, delay = parts
-    return FaultConfig(
-        crash_rate=crash,
-        transient_rate=transient,
-        straggler_rate=straggler,
-        straggler_delay_seconds=delay,
-        jitter_scale=jitter_scale,
-        jitter_sigma=jitter_sigma,
-        wire_corrupt_rate=wire_rate,
-        checkpoint_corrupt_rate=checkpoint_rate,
-        seed=seed,
-    )
+    names = ("crash_rate", "transient_rate", "straggler_rate", "straggler_delay_seconds")
+    return dict(zip(names, parts))
 
 
-def parse_byzantine_config(args):
-    """Build a ByzantineConfig from --byzantine-* flags (None when unused)."""
-    clients = args.byzantine_clients
-    attack = args.byzantine_attack
-    if clients is None and attack == "none":
-        return None
-    if clients is None:
-        raise SystemExit(
-            "--byzantine-attack needs --byzantine-clients to name the "
-            "malicious clients"
-        )
-    if attack == "none":
-        raise SystemExit(
-            "--byzantine-clients needs --byzantine-attack to pick their attack"
-        )
-    from repro.core.config import ByzantineConfig
-
+def _byzantine_spec(spec: Optional[str]) -> Dict[str, Tuple[int, ...]]:
+    """The ByzantineConfig clients of the --byzantine-clients spec."""
+    if spec is None:
+        return {}
     try:
-        ids = tuple(int(part) for part in clients.split(",") if part.strip())
+        ids = tuple(int(part) for part in spec.split(",") if part.strip())
     except ValueError:
-        raise SystemExit(
+        raise ValueError(
             "--byzantine-clients expects comma-separated integer ids"
         ) from None
     if not ids:
-        raise SystemExit("--byzantine-clients names no client ids")
-    return ByzantineConfig(
-        attack=attack,
-        clients=ids,
-        scale=args.byzantine_scale,
-        seed=args.byzantine_seed,
-    )
+        raise ValueError("--byzantine-clients names no client ids")
+    return {"clients": ids}
+
+
+def parse_command_line(argv=None) -> Tuple[argparse.Namespace, ExecutionConfig]:
+    """Parse ``argv`` into its namespace and the run's :class:`ExecutionConfig`.
+
+    An invalid flag value or combination exits with a usage error (2).
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = ExecutionConfig.from_flags(
+            vars(args),
+            fault_config=_fault_spec(args.inject_faults),
+            byzantine_config=_byzantine_spec(args.byzantine_clients),
+        )
+    except UnreadKnobError as exc:
+        flags = {knob.path: knob.flag for knob in iter_knobs(ExecutionConfig)}
+        flags["byzantine_config.clients"] = "--byzantine-clients"
+        wanted = "" if exc.values in (None, (True,)) else " " + "/".join(exc.values)
+        parser.error(
+            f"{flags[exc.knob]} has no effect without {flags[exc.reader]}{wanted}"
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args, config
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, config = parse_command_line(argv)
     if args.verbose:
         enable_console_logging()
 
-    from repro.core.config import ExecutionConfig
     from repro.experiments.common import set_execution_config
 
-    set_execution_config(
-        ExecutionConfig(
-            backend=args.backend,
-            num_workers=args.num_workers,
-            wire_dtype=args.wire_dtype,
-            client_timeout=args.client_timeout,
-            max_retries=args.max_retries,
-            min_participation=args.min_participation,
-            nn_debug=args.nn_debug,
-            profile_ops=args.profile_ops,
-            aggregator=args.aggregator,
-            trim_fraction=args.trim_fraction,
-            clip_norm=args.clip_norm,
-            krum_byzantine=args.krum_byzantine,
-            screen_updates=args.screen_updates,
-            nn_backend=args.nn_backend,
-            compute_dtype=args.compute_dtype,
-            buffer_size=args.buffer_size,
-            concurrency=args.concurrency,
-            staleness_policy=args.staleness_policy,
-            staleness_alpha=args.staleness_alpha,
-            staleness_hinge=args.staleness_hinge,
-            staleness_budget=args.staleness_budget,
-            screen_window=args.screen_window,
-            client_latency=args.client_latency,
-            codec=args.codec,
-            topk_fraction=args.topk_fraction,
-            qsgd_levels=args.qsgd_levels,
-            gate_aggregate=args.gate_aggregate,
-            gate_norm_multiplier=args.gate_norm_multiplier,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_keep=args.checkpoint_keep,
-            population=args.population,
-            cohort_fraction=args.cohort_fraction,
-            shards=args.shards,
-            state_store=args.state_store,
-            state_cache_size=args.state_cache_size,
-        ),
-        faults=parse_fault_config(
-            args.inject_faults,
-            args.fault_seed,
-            jitter_scale=args.jitter_scale,
-            jitter_sigma=args.jitter_sigma,
-            wire_rate=args.chaos_wire,
-            checkpoint_rate=args.chaos_checkpoint,
-        ),
-        byzantine=parse_byzantine_config(args),
-    )
+    set_execution_config(config)
 
     if args.list:
         for spec in list_experiments():
@@ -611,9 +178,9 @@ def main(argv=None) -> int:
         print(format_table(result))
         print(f"({experiment_id} completed in {elapsed:.1f}s at profile '{profile.name}')")
         print()
-    if args.profile_ops:
-        from repro.nn import diagnostics
+    from repro.nn import diagnostics
 
+    if diagnostics.profiling_enabled():
         print("op profile (all selected experiments):")
         print(diagnostics.format_op_table())
     return 0

@@ -9,19 +9,15 @@ most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import os
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.attacks.base import AttackData, CIPTarget, PlainTarget
-from repro.core.config import (
-    ByzantineConfig,
-    CIPConfig,
-    ExecutionConfig,
-    FaultConfig,
-    ScreeningConfig,
-)
+from repro.core.config import CIPConfig, ExecutionConfig
 from repro.core.perturbation import Perturbation
 from repro.core.trainer import CIPTrainer
 from repro.data.benchmarks import (
@@ -32,8 +28,7 @@ from repro.data.benchmarks import (
     load_dataset,
 )
 from repro.experiments.profiles import Profile
-from repro.fl.executor import RoundExecutor, make_executor
-from repro.fl.faults import RetryBackoff
+from repro.fl.executor import RoundExecutor, executor_class
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.training import train_supervised
 from repro.nn.layers import Module
@@ -49,28 +44,22 @@ _LEGACY_CACHE: Dict[tuple, "LegacyArtifact"] = {}
 _CIP_CACHE: Dict[tuple, "CIPArtifact"] = {}
 
 _EXECUTION_CONFIG = ExecutionConfig()
-_FAULT_CONFIG: Optional[FaultConfig] = None
-_BYZANTINE_CONFIG: Optional[ByzantineConfig] = None
+#: Numbers the checkpointed federations of the active config in run order.
+_FEDERATIONS = itertools.count()
 
 
-def set_execution_config(
-    config: ExecutionConfig,
-    faults: Optional[FaultConfig] = None,
-    byzantine: Optional[ByzantineConfig] = None,
-) -> None:
-    """Select the round-execution engine for all federated experiments.
+def set_execution_config(config: ExecutionConfig) -> None:
+    """Select how every federated experiment runs.
 
-    The experiment CLI threads ``--backend``/``--num-workers`` (and the
-    fault-tolerance knobs) through here; every simulation built by
-    :func:`run_federated` then uses it.  ``faults`` optionally enables
-    deterministic fault injection for robustness drills; ``byzantine``
-    turns the configured clients malicious (their returned updates are
-    corrupted by the executor — see :mod:`repro.fl.malicious`).
+    The experiment CLI builds one :class:`ExecutionConfig` from its flags
+    and threads it through here; every simulation built by
+    :func:`run_federated` (and :func:`build_executor`) then uses it — its
+    engine, fault injection, Byzantine clients, server robustness and
+    checkpointing alike.
     """
-    global _EXECUTION_CONFIG, _FAULT_CONFIG, _BYZANTINE_CONFIG
+    global _EXECUTION_CONFIG, _FEDERATIONS
     _EXECUTION_CONFIG = config
-    _FAULT_CONFIG = faults
-    _BYZANTINE_CONFIG = byzantine
+    _FEDERATIONS = itertools.count()
     # Enable-only: a default config must not clobber REPRO_NN_DEBUG or an
     # earlier explicit enable.
     if config.nn_debug:
@@ -99,76 +88,25 @@ def build_executor() -> RoundExecutor:
     Fresh per simulation because a pooled executor's workers cache the
     client population they were built with.
     """
-    config = _EXECUTION_CONFIG
-    return make_executor(
-        backend=config.backend,
-        num_workers=config.num_workers,
-        wire_dtype=config.wire_dtype,
-        round_timeout=config.round_timeout,
-        client_timeout=config.client_timeout,
-        max_retries=config.max_retries,
-        backoff=RetryBackoff(
-            base_seconds=config.retry_backoff_seconds,
-            factor=config.retry_backoff_factor,
-            max_seconds=config.retry_backoff_max_seconds,
-        ),
-        min_participation=config.min_participation,
-        max_pool_respawns=config.max_pool_respawns,
-        fault_config=_FAULT_CONFIG,
-        byzantine_config=_BYZANTINE_CONFIG,
-        buffer_size=config.buffer_size,
-        concurrency=config.concurrency,
-        staleness_policy=config.staleness_policy,
-        staleness_alpha=config.staleness_alpha,
-        staleness_hinge=config.staleness_hinge,
-        staleness_budget=config.staleness_budget,
-        # The async engine screens at admission time (streaming window);
-        # the synchronous engines leave screening to the server.
-        screening=(
-            ScreeningConfig()
-            if config.screen_updates and config.backend == "async"
-            else None
-        ),
-        screen_window=config.screen_window,
-        client_latency=config.client_latency,
-        codec=config.codec,
-        topk_fraction=config.topk_fraction,
-        qsgd_levels=config.qsgd_levels,
-    )
+    return executor_class(_EXECUTION_CONFIG.backend)(_EXECUTION_CONFIG)
 
 
 def configure_server_robustness(server) -> None:
-    """Apply the active config's aggregator/screening knobs to a server.
+    """Apply the active config's aggregator/screening/gate knobs to a server.
 
     Keeps experiment code that builds its own :class:`FLServer` honest about
     the CLI's ``--aggregator``/``--screen-updates`` selection without every
     call site repeating the option plumbing.
     """
     config = _EXECUTION_CONFIG
-    needs_aggregator = (
-        config.aggregator != getattr(server, "aggregator_name", "fedavg")
-        or config.shards > 1
-    )
-    if needs_aggregator:
-        options: Dict[str, object] = {}
-        if config.aggregator == "trimmed_mean":
-            options["trim_fraction"] = config.trim_fraction
-        elif config.aggregator == "norm_clip":
-            options["clip_norm"] = config.clip_norm
-        elif config.aggregator in ("krum", "multi_krum"):
-            options["num_byzantine"] = config.krum_byzantine
-        if config.shards > 1:
-            options["shards"] = config.shards
-        server.set_aggregator(config.aggregator, **options)
-    # The async backend screens at admission (streaming window inside the
-    # executor); enabling server-side screening too would double-screen the
-    # flush against an already-filtered buffer.
-    if (
-        config.screen_updates
-        and config.backend != "async"
-        and server.screening is None
-    ):
-        server.screening = ScreeningConfig()
+    if config.aggregator != getattr(server, "aggregator_name", "fedavg") or config.shards > 1:
+        server.set_aggregator(config.aggregator, **config.aggregator_options)
+    # Where screening runs is decided here only: the async engine screens
+    # each arrival at admission (a streaming window inside the executor), so
+    # server-side screening would double-screen an already-filtered buffer;
+    # the synchronous engines screen at the server.
+    if config.backend != "async" and server.screening is None:
+        server.screening = config.screening
     if config.gate_aggregate:
         server.gate_aggregate = True
         server.gate_norm_multiplier = config.gate_norm_multiplier
@@ -180,16 +118,15 @@ def run_federated(server, clients, rounds: int, **sim_kwargs) -> FederatedSimula
     Builds the simulation with :func:`build_executor`, applies the active
     aggregator/screening configuration to the server, runs ``rounds``
     rounds, and always releases pooled workers before returning the
-    (finished) simulation for inspection.
+    (finished) simulation for inspection.  Under a checkpoint directory
+    each federation checkpoints into its own numbered subdirectory, so one
+    experiment's federations never prune each other's chains.
     """
-    config = _EXECUTION_CONFIG
-    if config.checkpoint_dir is not None and "checkpoint" not in sim_kwargs:
-        from repro.core.config import CheckpointConfig
-
-        sim_kwargs["checkpoint"] = CheckpointConfig(
-            directory=config.checkpoint_dir,
-            every=config.checkpoint_every,
-            keep=config.checkpoint_keep,
+    checkpoint = _EXECUTION_CONFIG.checkpoint
+    if checkpoint.directory is not None and "checkpoint" not in sim_kwargs:
+        subdirectory = f"federation_{next(_FEDERATIONS):03d}"
+        sim_kwargs["checkpoint"] = replace(
+            checkpoint, directory=os.path.join(checkpoint.directory, subdirectory)
         )
     configure_server_robustness(server)
     simulation = FederatedSimulation(

@@ -154,7 +154,9 @@ def table11b(profile: Profile) -> ExperimentResult:
     num_clients = max(profile.client_counts)
     workers = min(num_clients, os.cpu_count() or 1)
     for backend in ("sequential", "process"):
-        executor = make_executor(backend=backend, num_workers=workers)
+        # Only the process engine reads num_workers.
+        knobs = {"num_workers": workers} if backend == "process" else {}
+        executor = make_executor(backend=backend, **knobs)
         with FederatedSimulation(
             *_round_timing_federation(num_clients), executor=executor
         ) as simulation:

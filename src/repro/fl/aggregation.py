@@ -25,7 +25,7 @@ reference=None, ...)`` so the server can swap them via
 :func:`make_aggregator`.  The robust rules are *unweighted* by design —
 honoring attacker-controlled ``num_samples`` weights would hand back the
 influence they exist to bound — and every aggregator preserves the incoming
-floating dtype (a ``wire_dtype=float32`` run must not round-trip its
+floating dtype (a ``--compute-dtype float32`` run must not round-trip its
 parameters through an unintended ``float64`` upcast).
 
 The robust rules additionally accept a keyword-only ``staleness`` sequence:

@@ -74,18 +74,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import STALENESS_POLICIES, ScreeningConfig
+from repro.core.config import EngineConfig
 from repro.fl.aggregation import apply_delta, staleness_weight, state_delta
 from repro.fl.client import ClientUpdate, FLClient
-from repro.fl.communication import Codec
 from repro.fl.executor import (
     ClientOutcome,
     RoundExecution,
     RoundExecutionError,
     RoundExecutor,
 )
-from repro.fl.faults import FaultInjector, RetryBackoff
-from repro.fl.malicious import ByzantineInjector
 from repro.fl.robust import StreamingScreener
 from repro.nn.serialization import state_dict_nbytes
 from repro.utils.logging import get_logger
@@ -122,86 +119,26 @@ class _InFlight:
 class AsyncExecutor(RoundExecutor):
     """Buffered asynchronous round engine (see the module docstring).
 
-    Parameters
-    ----------
-    buffer_size:
-        Admitted updates per aggregation step (FedBuff's ``K``).
-    concurrency:
-        Cap on simultaneously in-flight tasks; ``None`` lets every idle
-        participant train concurrently.
-    staleness_policy / staleness_alpha / staleness_hinge:
-        Staleness-weight family applied to admitted deltas (see
-        :func:`repro.fl.aggregation.staleness_weight`).
-    staleness_budget:
-        Admission policy: arrivals with version lag beyond this are
-        discarded as stale (``None`` admits any lag, down-weighted).
-    screening / screen_window:
-        Enable streaming admission screening with the given
-        :class:`~repro.core.config.ScreeningConfig` over a sliding window
-        of ``screen_window`` accepted deltas; ``screening=None`` admits
-        every finite arrival.
-    client_latency:
-        Baseline virtual seconds a task spends training, on top of which
-        injected straggler delays and lognormal jitter accumulate.
-    fault_injector / max_retries / backoff / client_timeout /
-    min_participation / byzantine:
-        Shared fault-tolerance and adversary policy (see
-        :class:`~repro.fl.executor.RoundExecutor`); fault and attack
-        decisions are keyed by the client's task counter instead of the
-        round index.
+    Reads the async-only knobs of its
+    :class:`~repro.core.config.EngineConfig`: ``buffer_size`` (FedBuff's
+    ``K``), the ``concurrency`` cap on in-flight tasks, the staleness
+    policy and its ``staleness_budget`` admission rule, the
+    ``client_latency`` baseline of each task's virtual training time, and
+    ``screen_window``: with ``screening`` set, arrivals are screened at
+    admission against a sliding window of that many accepted deltas (the
+    synchronous engines leave screening to the server).  Fault and attack
+    decisions are keyed by the client's task counter instead of the round
+    index.
     """
 
     name = "async"
 
-    def __init__(
-        self,
-        buffer_size: int = 4,
-        concurrency: Optional[int] = None,
-        staleness_policy: str = "polynomial",
-        staleness_alpha: float = 0.5,
-        staleness_hinge: int = 4,
-        staleness_budget: Optional[int] = None,
-        screening: Optional[ScreeningConfig] = None,
-        screen_window: int = 16,
-        client_latency: float = 1.0,
-        fault_injector: Optional[FaultInjector] = None,
-        max_retries: int = 0,
-        backoff: Optional[RetryBackoff] = None,
-        client_timeout: Optional[float] = None,
-        min_participation: float = 1.0,
-        byzantine: Optional[ByzantineInjector] = None,
-        codec: Optional[Codec] = None,
-    ) -> None:
-        if buffer_size < 1:
-            raise ValueError("buffer_size must be at least 1")
-        if concurrency is not None and concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
-        if staleness_policy not in STALENESS_POLICIES:
-            raise ValueError(f"staleness_policy must be one of {STALENESS_POLICIES}")
-        if staleness_alpha < 0:
-            raise ValueError("staleness_alpha must be non-negative")
-        if staleness_hinge < 0:
-            raise ValueError("staleness_hinge must be non-negative")
-        if staleness_budget is not None and staleness_budget < 0:
-            raise ValueError("staleness_budget must be non-negative")
-        if client_latency < 0:
-            raise ValueError("client_latency must be non-negative")
-        self._configure_fault_tolerance(
-            fault_injector, max_retries, backoff, client_timeout, min_participation,
-            byzantine,
-        )
-        self.buffer_size = int(buffer_size)
-        self.concurrency = None if concurrency is None else int(concurrency)
-        self.staleness_policy = staleness_policy
-        self.staleness_alpha = float(staleness_alpha)
-        self.staleness_hinge = int(staleness_hinge)
-        self.staleness_budget = (
-            None if staleness_budget is None else int(staleness_budget)
-        )
-        self.client_latency = float(client_latency)
-        self.codec = codec
+    def __init__(self, config: Optional[EngineConfig] = None, **kwargs: object) -> None:
+        super().__init__(config, **kwargs)
+        self.buffer_size = self.config.buffer_size
+        screening = self.config.screening
         self.screener = (
-            StreamingScreener(screening, window=screen_window)
+            StreamingScreener(screening, window=self.config.screen_window)
             if screening is not None
             else None
         )
@@ -236,7 +173,7 @@ class AsyncExecutor(RoundExecutor):
             (c for c in participants if c.client_id not in in_flight_ids),
             key=lambda c: (self._free_at.get(c.client_id, 0.0), c.client_id),
         )
-        cap = self.concurrency if self.concurrency is not None else len(by_id)
+        cap = self.config.concurrency or len(by_id)
 
         # ``results`` is the admitted buffer, in arrival order.
         execution = RoundExecution()
@@ -295,13 +232,14 @@ class AsyncExecutor(RoundExecutor):
             dense_bytes=dense_nbytes,
         )
         lag = version - entry.origin_version
-        if self.staleness_budget is not None and lag > self.staleness_budget:
+        budget = self.config.staleness_budget
+        if budget is not None and lag > budget:
             execution.stale[cid] = lag
             _log.info(
                 "discarding stale update from client %d (lag %d > budget %d)",
                 cid,
                 lag,
-                self.staleness_budget,
+                budget,
             )
             return outcome
         if self.screener is not None:
@@ -310,8 +248,9 @@ class AsyncExecutor(RoundExecutor):
             )
             if outcome.rejected is not None:
                 return outcome
+        config = self.config
         weight = staleness_weight(
-            lag, self.staleness_policy, self.staleness_alpha, self.staleness_hinge
+            lag, config.staleness_policy, config.staleness_alpha, config.staleness_hinge
         )
         if lag == 0 and weight == 1.0:
             # Bitwise fast path: origin == current global, no decay — the
@@ -352,7 +291,7 @@ class AsyncExecutor(RoundExecutor):
         )
         # The operand order is part of the replay contract: heap order (and
         # hence every digest) depends on these float sums.
-        arrival = start + outcome.latency + self.client_latency + outcome.delay
+        arrival = start + outcome.latency + self.config.client_latency + outcome.delay
         self._free_at[cid] = arrival
         if outcome.update is None:
             execution.record(outcome)

@@ -336,15 +336,11 @@ class NoneCodec(Codec):
 
     No framed header is added — the npz payload *is* today's wire format,
     so ``--codec none`` is bit-identical to pre-codec payloads by
-    construction.  ``wire_dtype`` optionally down-casts floating leaves
-    (lossy), mirroring the historical process-backend knob.
+    construction.
     """
 
     name = "none"
     needs_reference = False
-
-    def __init__(self, wire_dtype: Optional[str] = None) -> None:
-        self.wire_dtype = wire_dtype
 
     def encode_update(
         self,
@@ -354,7 +350,7 @@ class NoneCodec(Codec):
         reference: Optional[StateDict] = None,
         residual: Optional[StateDict] = None,
     ) -> Tuple[bytes, Optional[StateDict]]:
-        return pack_state_dict(state, self.wire_dtype), None
+        return pack_state_dict(state), None
 
 
 def _float_leaves(state: StateDict) -> List[str]:
@@ -520,8 +516,8 @@ class DeltaCodec(Codec):
 
     Deterministically lossy: float64 leaves lose the float32 rounding of
     their *delta* (much smaller magnitude than the weights themselves, so
-    far gentler than ``wire_dtype="float32"`` on the raw state); float32
-    leaves round-trip exactly.
+    far gentler than a float32 cast of the raw state); float32 leaves
+    round-trip exactly.
     """
 
     name = "delta"
@@ -672,7 +668,6 @@ def codec_name(codec: Optional[Codec]) -> str:
 
 def make_codec(
     name: Optional[str],
-    wire_dtype: Optional[str] = None,
     topk_fraction: float = 0.05,
     qsgd_levels: int = 16,
     seed: SeedLike = 0,

@@ -64,10 +64,11 @@ behaviour:
 Failure paths are testable on demand via a seeded
 :class:`~repro.fl.faults.FaultInjector`.
 
-Determinism caveat: the optional ``wire_dtype="float32"`` knob halves the
-broadcast/update payloads but rounds the wire copies, trading bitwise
-equality with the sequential path for bandwidth.  Leave it ``None`` (the
-default) when reproducing paper numbers.
+**One configuration.**  Every engine is configured by one
+:class:`~repro.core.config.EngineConfig`, validated for its backend at
+construction: the engines repeat none of its range checks, and a knob the
+engine never reads (``buffer_size`` on the sequential engine, say) raises
+:class:`~repro.core.config.UnreadKnobError`.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import ByzantineConfig, FaultConfig, ScreeningConfig
+from repro.core.config import EXECUTION_BACKENDS, EngineConfig
 from repro.fl.client import ClientMutableState, ClientUpdate, FLClient
 from repro.fl.communication import (
     Codec,
@@ -117,8 +118,6 @@ from repro.utils.timer import Stopwatch
 
 StateDict = Dict[str, np.ndarray]
 _log = get_logger("fl.executor")
-
-BACKENDS = ("sequential", "process", "batched", "async")
 
 
 class RoundExecutionError(RuntimeError):
@@ -330,27 +329,57 @@ class RoundExecution:
 class RoundExecutor(ABC):
     """Strategy for running the local-training stage of a FedAvg round.
 
-    Subclasses call :meth:`_configure_fault_tolerance` from their
-    constructor; the shared client lifecycle (:meth:`_run_client`,
-    :meth:`_next_attempt`, :meth:`_collect`) and round tally
-    (:meth:`_finish_round`) then behave identically across engines.
+    The shared client lifecycle (:meth:`_run_client`, :meth:`_next_attempt`,
+    :meth:`_collect`) and round tally (:meth:`_finish_round`) behave
+    identically across engines; a subclass names its backend and adds its
+    schedule.
     """
 
     name = "abstract"
 
-    # Policy defaults (fail-fast, honest clients) for subclasses that never
-    # configure.
-    fault_injector: Optional[FaultInjector] = None
-    max_retries: int = 0
-    backoff: RetryBackoff = RetryBackoff()
-    client_timeout: Optional[float] = None
-    min_participation: float = 1.0
-    byzantine: Optional[ByzantineInjector] = None
-    #: Optional update-compression codec (see :mod:`repro.fl.communication`).
-    #: ``None`` keeps the dense fast path, bit-identical to the historical
-    #: engines.
-    codec: Optional[Codec] = None
-    _ledger: Optional[CommunicationLedger] = None
+    def __init__(
+        self,
+        config: Optional[EngineConfig] = None,
+        *,
+        fault_injector: Optional[FaultInjector] = None,
+        byzantine: Optional[ByzantineInjector] = None,
+        codec: object = None,
+        **settings: object,
+    ) -> None:
+        """Configure the engine from ``config`` with ``settings`` applied.
+
+        ``settings`` are :class:`~repro.core.config.EngineConfig` fields; the
+        result is validated for this engine's backend.  ``fault_injector``
+        and ``byzantine`` take pre-built injectors (scripted plans) in place
+        of the config's, and ``codec`` a registry name or a pre-built
+        :class:`~repro.fl.communication.Codec` (``None``/``"none"`` keeps the
+        dense fast path, bit-identical to the historical engines).
+        """
+        if isinstance(codec, str):
+            settings["codec"] = codec
+        elif codec is not None and not isinstance(codec, Codec):
+            raise TypeError(f"codec must be a registry name or a Codec, got {codec!r}")
+        config = replace(config or EngineConfig(), backend=self.name, **settings)
+        if fault_injector is None and config.fault_config.enabled:
+            fault_injector = FaultInjector(config.fault_config)
+        if byzantine is None and config.byzantine_config.enabled:
+            byzantine = ByzantineInjector(config.byzantine_config)
+        if not isinstance(codec, Codec):
+            codec = make_codec(
+                config.codec,
+                topk_fraction=config.topk_fraction,
+                qsgd_levels=config.qsgd_levels,
+                seed=config.codec_seed,
+            )
+        self.config = config
+        self.fault_injector = fault_injector
+        self.byzantine = byzantine
+        self.codec: Optional[Codec] = codec
+        self.max_retries = config.max_retries
+        self.backoff = config.backoff
+        self.client_timeout = config.client_timeout
+        self.min_participation = config.min_participation
+        self._ledger: Optional[CommunicationLedger] = None
 
     @property
     def ledger(self) -> CommunicationLedger:
@@ -427,7 +456,7 @@ class RoundExecutor(ABC):
             payload = (
                 raw_payload
                 if raw_payload is not None
-                else pack_state_dict(update.state, getattr(self, "wire_dtype", None))
+                else pack_state_dict(update.state)
             )
             next_residual = None
             commit_residual = False
@@ -472,28 +501,6 @@ class RoundExecutor(ABC):
             if commit_residual:
                 client._wire_residual = next_residual
             return replace(update, state=decoded), wire_bytes, dense_bytes
-
-    def _configure_fault_tolerance(
-        self,
-        fault_injector: Optional[FaultInjector],
-        max_retries: int,
-        backoff: Optional[RetryBackoff],
-        client_timeout: Optional[float],
-        min_participation: float,
-        byzantine: Optional[ByzantineInjector] = None,
-    ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if client_timeout is not None and client_timeout <= 0:
-            raise ValueError("client_timeout must be positive")
-        if not 0.0 < min_participation <= 1.0:
-            raise ValueError("min_participation must be in (0, 1]")
-        self.fault_injector = fault_injector
-        self.max_retries = int(max_retries)
-        self.backoff = backoff or RetryBackoff()
-        self.client_timeout = client_timeout
-        self.min_participation = float(min_participation)
-        self.byzantine = byzantine
 
     def _byzantine_reference(self, server) -> Optional[StateDict]:
         """The honest pre-round global state the delta attacks operate on.
@@ -812,22 +819,6 @@ class SequentialExecutor(RoundExecutor):
 
     name = "sequential"
 
-    def __init__(
-        self,
-        fault_injector: Optional[FaultInjector] = None,
-        max_retries: int = 0,
-        backoff: Optional[RetryBackoff] = None,
-        client_timeout: Optional[float] = None,
-        min_participation: float = 1.0,
-        byzantine: Optional[ByzantineInjector] = None,
-        codec: Optional[Codec] = None,
-    ) -> None:
-        self._configure_fault_tolerance(
-            fault_injector, max_retries, backoff, client_timeout, min_participation,
-            byzantine,
-        )
-        self.codec = codec
-
     def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
         key = server.round
         reference = self._byzantine_reference(server)
@@ -905,7 +896,6 @@ def _worker_run_client(
     client_id: int,
     mutable_state: ClientMutableState,
     broadcast_payload: bytes,
-    wire_dtype: Optional[str],
     kill: bool = False,
 ) -> _WorkerResult:
     if kill:
@@ -923,7 +913,7 @@ def _worker_run_client(
     with Stopwatch() as watch:
         update = client.local_update()
     return _WorkerResult(
-        update_payload=pack_state_dict(update.state, wire_dtype),
+        update_payload=pack_state_dict(update.state),
         num_samples=update.num_samples,
         train_loss=update.train_loss,
         mutable_state=client.get_mutable_state(),
@@ -934,61 +924,25 @@ def _worker_run_client(
 class ParallelExecutor(RoundExecutor):
     """Process-pool round engine with a persistent worker population.
 
-    Parameters
-    ----------
-    num_workers:
-        Worker processes; ``None``/``0`` resolves to ``os.cpu_count()``.
-    wire_dtype:
-        Optional ``"float32"`` compression of the broadcast and update
-        payloads (lossy — see the module docstring).
-    round_timeout:
-        Wall-clock budget in seconds for one whole round.  On expiry the
-        pool is terminated and :class:`RoundExecutionError` is raised
-        instead of hanging the simulation.
-    fault_injector / max_retries / backoff / client_timeout /
-    min_participation:
-        Shared fault-tolerance policy (see :class:`RoundExecutor`).
-        ``client_timeout`` is also a real wall-clock budget per task: a
-        worker that stalls past it is abandoned as a straggler and the pool
-        is recycled after the wave.
-    max_pool_respawns:
-        Respawn budget per round when the worker pool dies; the clients
-        whose results were lost re-run on the fresh pool, completed clients
-        do not.
+    Reads three knobs of its :class:`~repro.core.config.EngineConfig` that
+    no other engine does: ``num_workers`` (``None`` resolves to
+    ``os.cpu_count()``); ``round_timeout``, a wall-clock budget for one
+    whole round, on whose expiry the pool is terminated and
+    :class:`RoundExecutionError` raised instead of hanging the simulation;
+    and ``max_pool_respawns``, the respawn budget per round when the worker
+    pool dies (the clients whose results were lost re-run on the fresh
+    pool, completed clients do not).  ``client_timeout`` is also a real
+    wall-clock budget per task here: a worker that stalls past it is
+    abandoned as a straggler and the pool is recycled after the wave.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        wire_dtype: Optional[str] = None,
-        round_timeout: Optional[float] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        max_retries: int = 0,
-        backoff: Optional[RetryBackoff] = None,
-        client_timeout: Optional[float] = None,
-        min_participation: float = 1.0,
-        max_pool_respawns: int = 2,
-        byzantine: Optional[ByzantineInjector] = None,
-        codec: Optional[Codec] = None,
-    ) -> None:
-        resolved = num_workers or os.cpu_count() or 1
-        if resolved < 1:
-            raise ValueError("num_workers must be at least 1")
-        if round_timeout is not None and round_timeout <= 0:
-            raise ValueError("round_timeout must be positive")
-        if max_pool_respawns < 0:
-            raise ValueError("max_pool_respawns must be non-negative")
-        self._configure_fault_tolerance(
-            fault_injector, max_retries, backoff, client_timeout, min_participation,
-            byzantine,
-        )
-        self.num_workers = int(resolved)
-        self.wire_dtype = wire_dtype
-        self.codec = codec
-        self.round_timeout = round_timeout
-        self.max_pool_respawns = int(max_pool_respawns)
+    def __init__(self, config: Optional[EngineConfig] = None, **kwargs: object) -> None:
+        super().__init__(config, **kwargs)
+        self.num_workers = self.config.num_workers or os.cpu_count() or 1
+        self.round_timeout = self.config.round_timeout
+        self.max_pool_respawns = self.config.max_pool_respawns
         self._clients: Dict[int, FLClient] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -1069,10 +1023,10 @@ class ParallelExecutor(RoundExecutor):
         experiments) each client's tampered state is packed individually.
         """
         if server.broadcast_hook is None:
-            shared = pack_state_dict(server.global_state(), self.wire_dtype)
+            shared = pack_state_dict(server.global_state())
             return [shared] * len(participants), len(shared) * len(participants)
         payloads = [
-            pack_state_dict(server.broadcast(client.client_id), self.wire_dtype)
+            pack_state_dict(server.broadcast(client.client_id))
             for client in participants
         ]
         return payloads, sum(len(payload) for payload in payloads)
@@ -1144,7 +1098,6 @@ class ParallelExecutor(RoundExecutor):
                             cid,
                             by_id[cid].get_mutable_state(),
                             payload_by_id[cid],
-                            self.wire_dtype,
                             kill,
                         )
                     except BrokenProcessPool:
@@ -1252,109 +1205,41 @@ class ParallelExecutor(RoundExecutor):
         return self._finish_round(execution, len(participants), profile_token)
 
 
-def make_executor(
-    backend: str = "sequential",
-    num_workers: Optional[int] = None,
-    wire_dtype: Optional[str] = None,
-    round_timeout: Optional[float] = None,
-    client_timeout: Optional[float] = None,
-    max_retries: int = 0,
-    backoff: Optional[RetryBackoff] = None,
-    min_participation: float = 1.0,
-    max_pool_respawns: int = 2,
-    fault_config: Optional[FaultConfig] = None,
-    fault_injector: Optional[FaultInjector] = None,
-    byzantine_config: Optional[ByzantineConfig] = None,
-    byzantine_injector: Optional[ByzantineInjector] = None,
-    buffer_size: int = 4,
-    concurrency: Optional[int] = None,
-    staleness_policy: str = "polynomial",
-    staleness_alpha: float = 0.5,
-    staleness_hinge: int = 4,
-    staleness_budget: Optional[int] = None,
-    screening: Optional[ScreeningConfig] = None,
-    screen_window: int = 16,
-    client_latency: float = 1.0,
-    codec: object = None,
-    topk_fraction: float = 0.05,
-    qsgd_levels: int = 16,
-    codec_seed: int = 0,
-) -> RoundExecutor:
-    """Build a round executor from plain configuration values.
-
-    ``fault_config`` builds a seeded :class:`FaultInjector`; pass
-    ``fault_injector`` instead for a scripted plan (tests).  Likewise
-    ``byzantine_config`` builds a :class:`ByzantineInjector` while
-    ``byzantine_injector`` accepts a pre-built one (e.g. with a per-client
-    plan of heterogeneous attacks).
-
-    The ``buffer_size`` through ``client_latency`` knobs configure the
-    ``async`` backend (see :class:`repro.fl.async_engine.AsyncExecutor`) and
-    are ignored by the synchronous engines.  ``screening`` enables the async
-    engine's *streaming* admission screener — async runs should leave the
-    server-side ``FLServer.screening`` off, since each flush has already
-    been screened at admission.
-
-    ``codec`` selects the update-compression codec by registry name
-    (``"none"``/``"topk"``/``"qsgd"``/``"delta"``, see
-    :mod:`repro.fl.communication`) or accepts a pre-built
-    :class:`~repro.fl.communication.Codec`; ``topk_fraction`` /
-    ``qsgd_levels`` / ``codec_seed`` parameterize the lossy codecs.
-    ``None``/``"none"`` keeps the dense fast path.
-    """
-    if fault_injector is None and fault_config is not None and fault_config.enabled:
-        fault_injector = FaultInjector(fault_config)
-    if (
-        byzantine_injector is None
-        and byzantine_config is not None
-        and byzantine_config.enabled
-    ):
-        byzantine_injector = ByzantineInjector(byzantine_config)
-    if codec is None or isinstance(codec, str):
-        codec = make_codec(
-            codec,
-            topk_fraction=topk_fraction,
-            qsgd_levels=qsgd_levels,
-            seed=codec_seed,
-        )
-    elif not isinstance(codec, Codec):
-        raise TypeError(f"codec must be a registry name or a Codec, got {codec!r}")
-    policy = dict(
-        fault_injector=fault_injector,
-        max_retries=max_retries,
-        backoff=backoff,
-        client_timeout=client_timeout,
-        min_participation=min_participation,
-        byzantine=byzantine_injector,
-        codec=codec,
-    )
-    if backend == "sequential":
-        return SequentialExecutor(**policy)
+def executor_class(backend: str) -> type:
+    """The round engine that runs ``backend``."""
     if backend == "batched":
         from repro.fl.batched import BatchedExecutor
 
-        return BatchedExecutor(**policy)
-    if backend == "process":
-        return ParallelExecutor(
-            num_workers=num_workers,
-            wire_dtype=wire_dtype,
-            round_timeout=round_timeout,
-            max_pool_respawns=max_pool_respawns,
-            **policy,
-        )
+        return BatchedExecutor
     if backend == "async":
         from repro.fl.async_engine import AsyncExecutor
 
-        return AsyncExecutor(
-            buffer_size=buffer_size,
-            concurrency=concurrency,
-            staleness_policy=staleness_policy,
-            staleness_alpha=staleness_alpha,
-            staleness_hinge=staleness_hinge,
-            staleness_budget=staleness_budget,
-            screening=screening,
-            screen_window=screen_window,
-            client_latency=client_latency,
-            **policy,
+        return AsyncExecutor
+    engines = {"sequential": SequentialExecutor, "process": ParallelExecutor}
+    if backend not in engines:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {EXECUTION_BACKENDS}"
         )
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return engines[backend]
+
+
+def make_executor(
+    backend: str = EngineConfig.backend,
+    fault_injector: Optional[FaultInjector] = None,
+    byzantine_injector: Optional[ByzantineInjector] = None,
+    **settings: object,
+) -> RoundExecutor:
+    """Build a round executor from :class:`~repro.core.config.EngineConfig`
+    fields, validated for ``backend``.
+
+    A keyword that is not an :class:`EngineConfig` field (``aggregator=``,
+    say) raises :class:`TypeError`; a knob ``backend`` never reads raises
+    :class:`~repro.core.config.UnreadKnobError`.  ``fault_config`` and
+    ``byzantine_config`` build seeded injectors; pass ``fault_injector`` /
+    ``byzantine_injector`` instead for a scripted plan (tests).  ``codec``
+    names the update-compression codec (see :mod:`repro.fl.communication`)
+    or passes a pre-built :class:`~repro.fl.communication.Codec`.
+    """
+    return executor_class(backend)(
+        fault_injector=fault_injector, byzantine=byzantine_injector, **settings
+    )

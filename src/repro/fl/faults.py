@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
-from repro.core.config import FaultConfig
+# RetryBackoff is declared with the other execution configs and re-exported here.
+from repro.core.config import FaultConfig, RetryBackoff
 from repro.utils.rng import derive_rng
 
 #: Every fault kind an injector can decide on ("none" means healthy).
@@ -284,21 +285,3 @@ class FaultInjector:
             )
         return FaultDecision(kind=planned)
 
-
-@dataclass(frozen=True)
-class RetryBackoff:
-    """Exponential backoff schedule between retry attempts (virtual seconds)."""
-
-    base_seconds: float = 0.05
-    factor: float = 2.0
-    max_seconds: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.base_seconds < 0 or self.max_seconds < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
-
-    def delay(self, attempt: int) -> float:
-        """Virtual seconds between failed attempt ``attempt`` (0-based) and the next."""
-        return min(self.base_seconds * self.factor ** attempt, self.max_seconds)

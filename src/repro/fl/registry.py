@@ -56,13 +56,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import STATE_STORES
 from repro.fl.client import ClientMutableState, FLClient
 from repro.utils.logging import get_logger
 
 _log = get_logger("fl.registry")
-
-#: State-store backends understood by :func:`make_state_store`.
-STATE_STORES = ("memory", "lru")
 
 
 def _array_nbytes(value: object) -> int:

@@ -7,21 +7,17 @@ State dicts are flat ``{dotted.name: ndarray}`` mappings (see
 :func:`pack_state_dict` / :func:`unpack_state_dict` serialize a state dict to
 a single ``bytes`` payload for inter-process transfer: the FL parallel
 executor packs the global state **once per round** and hands every worker the
-same read-only buffer instead of cloning the state dict per client.  Packing
-optionally down-casts floating arrays to ``float32`` — halving wire size at
-the cost of bitwise reproducibility against the uncompressed path.
+same read-only buffer instead of cloning the state dict per client.  The
+round trip is bitwise: names, shapes and dtypes all survive it.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
-
-#: dtypes accepted for wire compression (``None`` means "preserve dtype").
-WIRE_DTYPES = ("float32", "float64")
 
 
 def save_state_dict(state: Dict[str, np.ndarray], path: str) -> None:
@@ -47,33 +43,19 @@ def state_dict_nbytes(state: Dict[str, np.ndarray]) -> int:
     return int(sum(value.nbytes for value in state.values()))
 
 
-def _cast_for_wire(value: np.ndarray, wire_dtype: Optional[str]) -> np.ndarray:
-    if wire_dtype is None or not np.issubdtype(value.dtype, np.floating):
-        return value
-    return value.astype(wire_dtype, copy=False)
-
-
-def pack_state_dict(
-    state: Dict[str, np.ndarray], wire_dtype: Optional[str] = None
-) -> bytes:
+def pack_state_dict(state: Dict[str, np.ndarray]) -> bytes:
     """Serialize a state dict into one contiguous ``bytes`` payload.
 
-    ``wire_dtype`` down-casts floating arrays (e.g. to ``"float32"``) before
-    packing; integer arrays are never cast.  The payload is self-describing:
-    :func:`unpack_state_dict` recovers names, shapes, and (wire) dtypes.
+    The payload is self-describing: :func:`unpack_state_dict` recovers
+    names, shapes, and dtypes.
     """
-    if wire_dtype is not None and wire_dtype not in WIRE_DTYPES:
-        raise ValueError(f"wire_dtype must be one of {WIRE_DTYPES} or None")
     buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        **{name: _cast_for_wire(value, wire_dtype) for name, value in state.items()},
-    )
+    np.savez(buffer, **state)
     return buffer.getvalue()
 
 
 def unpack_state_dict(payload: bytes) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`pack_state_dict` (arrays keep their wire dtype)."""
+    """Inverse of :func:`pack_state_dict`."""
     with np.load(io.BytesIO(payload)) as archive:
         return {name: archive[name] for name in archive.files}
 

@@ -101,10 +101,11 @@ def _chaos_executor(backend, seed, **overrides):
         max_retries=2,
         backoff=_NO_SLEEP,
         min_participation=0.25,
-        client_latency=0.1,
     )
     if backend == "process":
         kwargs["num_workers"] = 2
+    if backend == "async":
+        kwargs["client_latency"] = 0.1
     kwargs.update(overrides)
     return make_executor(**kwargs)
 

@@ -128,14 +128,6 @@ class TestDeterminism:
         for t_seq, t_par in zip(seq_t, par_t):
             assert np.array_equal(t_seq, t_par)
 
-    def test_wire_float32_is_lossy_but_close(self, tiny_vector_dataset):
-        seq_state, _ = _run_federation(tiny_vector_dataset, SequentialExecutor())
-        par_state, _ = _run_federation(
-            tiny_vector_dataset, ParallelExecutor(num_workers=2, wire_dtype="float32")
-        )
-        for key in seq_state:
-            np.testing.assert_allclose(seq_state[key], par_state[key], atol=1e-4)
-
 
 class TestFailureModes:
     def test_worker_crash_raises_clear_error(self, tiny_vector_dataset):
@@ -213,12 +205,6 @@ class TestSerialization:
         restored = unpack_state_dict(pack_state_dict(state))
         _assert_states_equal(state, restored)
 
-    def test_pack_float32_casts_only_floats(self, rng):
-        state = {"w": rng.normal(size=(2, 2)), "n": np.array([1, 2], dtype=np.int64)}
-        restored = unpack_state_dict(pack_state_dict(state, wire_dtype="float32"))
-        assert restored["w"].dtype == np.float32
-        assert restored["n"].dtype == np.int64
-
     def test_optimizer_state_dict_survives_new_param_identities(self, rng):
         def fresh_params():
             gen = np.random.default_rng(3)
@@ -277,12 +263,10 @@ class TestConfig:
             make_executor("threads")
 
     def test_execution_config_validation(self):
-        ExecutionConfig(backend="process", num_workers=4, wire_dtype="float32")
+        ExecutionConfig(backend="process", num_workers=4)
         with pytest.raises(ValueError):
             ExecutionConfig(backend="gpu")
         with pytest.raises(ValueError):
             ExecutionConfig(num_workers=-1)
-        with pytest.raises(ValueError):
-            ExecutionConfig(wire_dtype="float16")
         with pytest.raises(ValueError):
             ExecutionConfig(round_timeout=0.0)

@@ -86,7 +86,7 @@ class TestPayloadRoundTrip:
         state = _awkward_state()
         payload, residual = NoneCodec().encode_update(0, 0, state)
         assert residual is None
-        assert payload == pack_state_dict(state, None)
+        assert payload == pack_state_dict(state)
         decoded = decode_update(payload)
         for name, value in state.items():
             assert np.array_equal(decoded[name], np.asarray(value)), name
