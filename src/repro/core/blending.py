@@ -48,12 +48,41 @@ def blend(
     model in the Step-II loss.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
+    if t is not None:
+        t = t if isinstance(t, Tensor) else Tensor(t)
+        _broadcast_t(t.shape, x.shape)
+    return _blend_tensors(x, t, alpha, clip_range)
+
+
+def blend_stacked(
+    x: Union[Tensor, np.ndarray],
+    t: Optional[Tensor],
+    alpha: float,
+    clip_range: ClipRange = (0.0, 1.0),
+) -> Tuple[Tensor, Tensor]:
+    """:func:`blend` for K clients at once.
+
+    ``x`` stacks the clients' batches as ``(K, N, ...)`` and ``t`` their
+    perturbations as ``(K, 1, ...)``.  The ops are :func:`blend`'s, so
+    slice ``k`` of each channel, and of ``t``'s gradient, is bitwise
+    client ``k``'s.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    if t is not None and (t.shape[:2] != (x.shape[0], 1) or t.shape[2:] != x.shape[2:]):
+        raise ValueError(
+            f"stacked perturbation shape {t.shape} must be (K, 1, ...) for batch "
+            f"shape {x.shape}"
+        )
+    return _blend_tensors(x, t, alpha, clip_range)
+
+
+def _blend_tensors(
+    x: Tensor, t: Optional[Tensor], alpha: float, clip_range: ClipRange
+) -> Tuple[Tensor, Tensor]:
     if t is None:
         channel_a = x * (1.0 - alpha)
         channel_b = x * (1.0 + alpha)
     else:
-        t = t if isinstance(t, Tensor) else Tensor(t)
-        _broadcast_t(t.shape, x.shape)
         channel_a = x * (1.0 - alpha) + t * alpha
         channel_b = x * (1.0 + alpha) - t * alpha
     if clip_range is not None:

@@ -20,10 +20,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blending import blend
+from repro.core.blending import blend, blend_stacked
 from repro.core.config import CIPConfig
 from repro.nn.layers import Module
-from repro.nn.losses import cross_entropy, l1_norm
+from repro.nn.losses import cross_entropy, l1_norm, stacked_cross_entropy
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, as_generator
@@ -98,6 +98,34 @@ class Perturbation:
 
     def set_lr(self, lr: float) -> None:
         self._optimizer.set_lr(lr)
+
+
+def stacked_perturbation_step(
+    forward: Callable[[Tuple[Tensor, Tensor]], Tensor],
+    t: Tensor,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    config: CIPConfig,
+    lr: float,
+) -> np.ndarray:
+    """:meth:`Perturbation.step` for K clients at once; returns the objectives.
+
+    ``t`` stacks the clients' perturbations as a ``(K, 1, ...)`` leaf,
+    ``inputs``/``labels`` their ``(K, N, ...)`` batches, and ``forward``
+    maps a stacked blended pair to ``(K, N, C)`` logits with the model
+    parameters held constant: the per-client step computes their
+    gradients only to discard them.  ``t`` is updated in place by plain
+    SGD, and slice ``k`` of it and of the ``(K,)`` objectives is bitwise
+    what client ``k``'s step produces.  The graph is dropped on return.
+    """
+    t.zero_grad()
+    blended = blend_stacked(inputs, t, config.alpha, config.clip_range)
+    logits = forward(blended)
+    l1 = t.abs().sum(axis=tuple(range(1, t.ndim)))
+    objective = stacked_cross_entropy(logits, labels) + config.lambda_t * l1
+    objective.sum().backward()
+    t.data -= lr * t.grad
+    return objective.data
 
 
 def optimize_perturbation_for_model(

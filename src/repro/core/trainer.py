@@ -21,17 +21,17 @@ epochs to converge (RQ5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blending import blend
+from repro.core.blending import blend, blend_stacked
 from repro.core.config import CIPConfig
 from repro.core.perturbation import Perturbation
 from repro.data.dataset import DataLoader, Dataset
 from repro.fl.training import EvalResult
 from repro.nn.layers import Module
-from repro.nn.losses import cross_entropy
+from repro.nn.losses import cross_entropy, stacked_cross_entropy
 from repro.nn.optim import Optimizer
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import SeedLike, as_generator, derive_rng
@@ -63,6 +63,32 @@ def cip_model_loss(
         # where its output "assembles other non-members", and no further.
         per_sample = per_sample.clip(float("-inf"), config.original_loss_cap)
     return loss_blended - config.lambda_m * per_sample.mean()
+
+
+def stacked_cip_model_loss(
+    forward: Callable[[Tuple[Tensor, Tensor]], Tensor],
+    t: Tensor,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    config: CIPConfig,
+) -> Tensor:
+    """:func:`cip_model_loss` for K clients at once: ``(K,)`` objectives.
+
+    ``t`` stacks the clients' perturbations as ``(K, 1, ...)``,
+    ``inputs``/``labels`` their ``(K, N, ...)`` batches, and ``forward``
+    is the stacked model.  The ops are :func:`cip_model_loss`'s, so slice
+    ``k`` of the objectives, and of the gradients their sum backpropagates
+    into the stacked parameters, is bitwise client ``k``'s.
+    """
+    blended = blend_stacked(inputs, t.detach(), config.alpha, config.clip_range)
+    loss_blended = stacked_cross_entropy(forward(blended), labels)
+    if config.lambda_m == 0.0:
+        return loss_blended
+    original = blend_stacked(inputs, None, config.alpha, config.clip_range)
+    per_sample = stacked_cross_entropy(forward(original), labels, reduction="none")
+    if config.original_loss_cap is not None:
+        per_sample = per_sample.clip(float("-inf"), config.original_loss_cap)
+    return loss_blended - config.lambda_m * per_sample.mean(axis=1)
 
 
 @dataclass

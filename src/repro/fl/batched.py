@@ -7,6 +7,16 @@ grouped im2col + one batched GEMM, linears as one 3-D GEMM), and the per-client
 SGD steps apply as vectorized updates over the leading client axis.  A round is
 then a few large kernels instead of K small autograd graphs.
 
+Plain FedAvg clients and CIP clients both stack, each kind in its own groups.
+A CIP group runs ``CIPTrainer.train_epoch`` stacked: every member's secret
+``t`` becomes a slice of one ``[K, 1, ...]`` leaf, and each batch runs the
+Step-I updates of ``t`` (:func:`repro.core.perturbation.
+stacked_perturbation_step`, parameters held constant) and then the Step-II
+objective (:func:`repro.core.trainer.stacked_cip_model_loss`).  The
+dual-channel model lowers to one plan: the two blended channels are joined
+on the sample axis for the shared backbone, and the features of the two
+halves are joined on the last axis for the head.
+
 The batched path is **bitwise identical** to :class:`SequentialExecutor` per
 (nn backend × dtype policy).  That holds because every stacked op reduces to
 the same float sequence per client slice:
@@ -14,19 +24,26 @@ the same float sequence per client slice:
 - ``np.matmul`` over a leading batch axis runs each slice through the same
   GEMM kernel as a 2-D call;
 - elementwise ops and broadcasts pair the same operands;
-- axis reductions (BatchNorm statistics, bias gradients, the loss mean)
-  reduce the same element sequences per slice as their 2-D counterparts;
-- each client keeps its own RNG: ``derive_rng(seed, "round", round)`` is
-  called exactly once per client per round, and per-epoch shuffles draw from
-  the client's own generator in the same order as the sequential loader.
+- axis reductions (BatchNorm statistics, bias gradients, the loss mean,
+  ``t``'s gradient and L1 norm) reduce the same element sequences per slice
+  as their 2-D counterparts;
+- the stacked graphs are built op for op like the per-client ones, so a
+  tensor with several consumers (``t`` has three in Step I) accumulates
+  their gradients in the same order;
+- each client keeps its own RNG and derives its shuffle streams exactly as
+  its ``local_update`` does: once per round for plain clients, once per
+  epoch for CIP clients.
 
-Clients that cannot be stacked — CIP/defense subclasses, clients with data
-augmentation, heterogeneous architectures or hyperparameters, non-SGD
-optimizers, models with active dropout, or a group of one — run the shared
-per-client lifecycle (``RoundExecutor._run_client``), as does the whole round
-whenever fault tolerance is enabled (fault decisions are keyed
-per-(round, client, attempt) and must interleave exactly as the sequential
-engine does).  A stacked member's update is collected through the same
+Clients that cannot be stacked — other client subclasses (defenses override
+``local_update``), clients with data augmentation, CIP clients whose model
+has BatchNorm (Step I runs the model in eval mode, and the stacked
+BatchNorm steps implement training mode only), heterogeneous architectures
+or hyperparameters, non-SGD optimizers, models with active dropout, or a
+group of one — run the shared per-client lifecycle
+(``RoundExecutor._run_client``), as does the whole round whenever fault
+tolerance is enabled (fault decisions are keyed per-(round, client,
+attempt) and must interleave exactly as the sequential engine does).  A
+stacked member's update is collected through the same
 ``RoundExecutor._collect`` as every other client's, so Byzantine corruption
 and the wire codec are preserved under batching.
 
@@ -37,6 +54,8 @@ Caveats:
   participant order; collected results are re-ordered back to participant
   order before aggregation, so FedAvg consumes them in the exact sequential
   order.
+- A stacked member's parameters, momentum slots and ``t`` are views of its
+  slice of the group's stacked arrays, which train in place.
 - On a workspace-recycling backend the stacked graph is single-shot per batch
   (same contract as ``conv2d``); the executor owns the workspace lifetime and
   releases the freelist in :meth:`BatchedExecutor.close`.
@@ -44,10 +63,14 @@ Caveats:
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cip_client import CIPClient
+from repro.core.perturbation import stacked_perturbation_step
+from repro.core.trainer import stacked_cip_model_loss
 from repro.data.dataset import Dataset
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.executor import (
@@ -75,7 +98,9 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.models.heads import SingleChannelClassifier
+from repro.nn import tensor as T
+from repro.nn.losses import stacked_cross_entropy
+from repro.nn.models.heads import DualChannelClassifier, SingleChannelClassifier
 from repro.nn.models.mlp import MLP, MLPBackbone
 from repro.nn.models.vgg import MiniVGGBackbone
 from repro.nn.optim import SGD
@@ -92,6 +117,9 @@ Params = Dict[str, Tensor]
 # Stacked buffers dict: dotted buffer name -> [K, ...] plain array.
 Buffers = Dict[str, np.ndarray]
 Step = Callable[[Tensor, Params, Buffers], Tensor]
+#: Leading signature entry of a dual-channel plan, whose input is the
+#: blended channel pair.
+_DUAL_CHANNEL = ("dual_channel",)
 
 
 class _NotBatchable(Exception):
@@ -350,8 +378,38 @@ def _compile(module: Module, prefix: str, steps: List[Step], sig: List) -> None:
             sig.append(("gap",))
         steps.append(_linear_step(module.head, prefix + "head.", fuse_relu=False))
         sig.append(("linear", prefix + "head.") + _linear_sig(module.head))
+    elif kind is DualChannelClassifier:
+        # The plan takes the blended channel pair: both run through the
+        # backbone as one batch on the sample axis, and their features are
+        # joined on the last axis for the head (``DualChannelClassifier.
+        # forward`` per client slice).
+        steps.append(_dual_concat_step())
+        sig.append(_DUAL_CHANNEL)
+        _compile(module.backbone, prefix + "backbone.", steps, sig)
+        if getattr(module.backbone, "spatial_features", False):
+            steps.append(_gap_step())
+            sig.append(("gap",))
+        steps.append(_dual_join_step())
+        sig.append(("dual_join",))
+        steps.append(_linear_step(module.head, prefix + "head.", fuse_relu=False))
+        sig.append(("linear", prefix + "head.") + _linear_sig(module.head))
     else:
         raise _NotBatchable(f"no stacked plan for {kind.__name__}")
+
+
+def _dual_concat_step() -> Step:
+    def step(pair: Tuple[Tensor, Tensor], params: Params, buffers: Buffers) -> Tensor:
+        return T.concatenate(list(pair), axis=1)
+
+    return step
+
+
+def _dual_join_step() -> Step:
+    def step(x: Tensor, params: Params, buffers: Buffers) -> Tensor:
+        half = x.shape[1] // 2
+        return T.concatenate([x[:, :half], x[:, half:]], axis=2)
+
+    return step
 
 
 def _mlp_flatten_step() -> Step:
@@ -377,32 +435,88 @@ def compile_stacked_plan(model: Module) -> Tuple[List[Step], Tuple]:
 
 
 # ----------------------------------------------------------------------
-# Batched loss
+# Per-kind objectives
+#
+# ``BatchedExecutor._train_group`` is the one stacked training loop.  The
+# client kind supplies what differs: the shuffle streams, the per-batch
+# objective and update, and what it records per epoch.
 # ----------------------------------------------------------------------
-def _batched_cross_entropy(logits: Tensor, labels: Sequence[np.ndarray]) -> Tensor:
-    """Per-client mean cross-entropy over stacked ``[K, N, C]`` logits.
+#: Runs the stacked plan on an input (a blended pair for dual-channel
+#: plans) with the given parameters.
+Forward = Callable[[object, Params], Tensor]
 
-    Replicates :func:`repro.nn.losses.cross_entropy` (mean reduction,
-    including the float32 policy's float64 loss upcast) op-for-op along the
-    client axis; element ``k`` of the returned ``[K]`` tensor is bitwise
-    equal to the sequential scalar loss of client ``k``.
-    """
-    num_classes = logits.shape[-1]
-    log_probs = F.log_softmax(logits, axis=-1)
-    # Vectorized equivalent of stacking per-client ``F.one_hot`` results:
-    # zeros with 1.0 at each label position, so the values are bitwise the
-    # same either way.
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    cohort, batch_len = labels_arr.shape
-    hot = np.zeros((cohort, batch_len, num_classes), dtype=log_probs.data.dtype)
-    hot[
-        np.arange(cohort)[:, None], np.arange(batch_len)[None, :], labels_arr
-    ] = 1.0
-    per_sample = -(log_probs * hot).sum(axis=2)
-    policy = get_dtype_policy()
-    if policy.upcast_loss and per_sample.data.dtype != policy.loss_dtype:
-        per_sample = per_sample.astype(policy.loss_dtype)
-    return per_sample.mean(axis=1)
+
+class _PlainObjective:
+    """``FLClient.local_update``: the cross-entropy of ``train_supervised``."""
+
+    def __init__(self, group: List[FLClient], forward: Forward) -> None:
+        self.group = group
+        self.forward = forward
+
+    @staticmethod
+    def streams(client: FLClient) -> List[np.random.Generator]:
+        """The generator each local epoch draws its shuffle from."""
+        # One stream per round; every epoch draws a permutation from it.
+        rng = derive_rng(client._seed, "round", client._round)
+        return [rng] * client.config.local_epochs
+
+    def loss(self, params: Params, inputs: np.ndarray, labels: np.ndarray) -> Tensor:
+        """The ``(K,)`` losses whose sum backpropagates into ``params``."""
+        return stacked_cross_entropy(self.forward(Tensor(inputs), params), labels)
+
+    def end_epoch(self, losses: List[float], count: int) -> None:
+        pass
+
+
+class _CIPObjective(_PlainObjective):
+    """``CIPClient.local_update``: ``CIPTrainer.train_epoch``'s Step I and
+    Step II on every batch, with the members' perturbations stacked."""
+
+    def __init__(self, group: List[CIPClient], forward: Forward) -> None:
+        super().__init__(group, forward)
+        perturbation = group[0].perturbation
+        self.config = perturbation.config
+        self.lr = perturbation._optimizer.lr
+        self.t = Tensor(
+            np.stack([client.perturbation.t.data for client in group])[:, None],
+            requires_grad=True,
+        )
+        for index, client in enumerate(group):
+            client.perturbation.t.data = self.t.data[index, 0]  # trains in place
+        self.perturbation_totals = [0.0] * len(group)
+
+    @staticmethod
+    def streams(client: CIPClient) -> List[np.random.Generator]:
+        # A fresh DataLoader stream per epoch, as CIPClient.local_update seeds it.
+        return [
+            derive_rng(client._seed, "round", client._round, epoch)
+            for epoch in range(client.config.local_epochs)
+        ]
+
+    def loss(self, params: Params, inputs: np.ndarray, labels: np.ndarray) -> Tensor:
+        # Step I shapes t against the current model, held constant.
+        frozen = {name: Tensor(leaf.data) for name, leaf in params.items()}
+        objectives = None
+        for _ in range(self.config.perturbation_steps):
+            objectives = stacked_perturbation_step(
+                lambda pair: self.forward(pair, frozen),
+                self.t, inputs, labels, self.config, self.lr,
+            )
+        if objectives is not None:
+            for k, objective in enumerate(objectives):
+                if not np.isnan(objective):
+                    self.perturbation_totals[k] += float(objective) * labels.shape[1]
+        # Step II fits the model against the current t.
+        return stacked_cip_model_loss(
+            lambda pair: self.forward(pair, params), self.t, inputs, labels, self.config
+        )
+
+    def end_epoch(self, losses: List[float], count: int) -> None:
+        for k, client in enumerate(self.group):
+            history = client._trainer.history
+            history.model_losses.append(losses[k])
+            history.perturbation_losses.append(self.perturbation_totals[k] / max(count, 1))
+        self.perturbation_totals = [0.0] * len(self.group)
 
 
 # ----------------------------------------------------------------------
@@ -411,26 +525,25 @@ def _batched_cross_entropy(logits: Tensor, labels: Sequence[np.ndarray]) -> Tens
 class BatchedExecutor(SequentialExecutor):
     """Round engine stacking same-architecture clients into batched kernels.
 
-    Grouping key: (stacked-plan signature, dataset length, input shape,
-    batch size, local epochs, lr, momentum, weight decay).  Every member of
-    a group therefore shares scalar hyperparameters, so the vectorized SGD
-    step broadcasts the *same* scalars the sequential optimizer uses —
-    bitwise identical per client slice.  Groups of one and unbatchable
-    clients run the inherited per-client lifecycle; rounds with fault
-    tolerance enabled run every client through it.
+    Grouping key: (client type, stacked-plan signature, dataset length,
+    input shape, batch size, local epochs, lr, momentum, weight decay), and
+    for CIP clients every :class:`~repro.core.config.CIPConfig` field plus
+    the perturbation optimizer's lr.  Every member of a group therefore
+    shares scalar hyperparameters, so the vectorized SGD step broadcasts
+    the *same* scalars the sequential optimizer uses — bitwise identical
+    per client slice.  Groups of one and unbatchable clients run the
+    inherited per-client lifecycle; rounds with fault tolerance enabled run
+    every client through it.
     """
 
     name = "batched"
 
     def prepare(self, clients: Sequence[FLClient]) -> None:
-        # Per-client caches keyed by client_id; the compiled plan and the
-        # parameter/buffer walk orders are architecture properties, stable
-        # for the lifetime of a simulation (loads rebind ``.data`` without
-        # replacing the Tensor/buffer-owner objects).  Dynamic grouping
-        # fields (lr, momentum, ...) are re-read every round in
+        # Compiled plans, keyed by client_id: the plan is an architecture
+        # property, stable for the lifetime of a simulation.  Dynamic
+        # grouping fields (lr, momentum, ...) are re-read every round in
         # ``_batch_key`` so schedule changes still split groups correctly.
         self._compile_cache: Dict[int, Optional[Tuple[Tuple, List[Step]]]] = {}
-        self._walk_cache: Dict[int, Tuple[list, list]] = {}
 
     def _compiled(self, client: FLClient) -> Optional[Tuple[Tuple, List[Step]]]:
         cache = getattr(self, "_compile_cache", None)
@@ -446,28 +559,18 @@ class BatchedExecutor(SequentialExecutor):
                 cache[client.client_id] = (sig, plan)
         return cache[client.client_id]
 
-    def _walks(self, client: FLClient) -> Tuple[list, list]:
-        """The client model's (named params, named buffer owners) walk lists."""
-        cache = getattr(self, "_walk_cache", None)
-        if cache is None:
-            self.prepare(())
-            cache = self._walk_cache
-        walks = cache.get(client.client_id)
-        if walks is None:
-            walks = (
-                list(client.model.named_parameters()),
-                list(client.model._named_buffer_owners()),
-            )
-            cache[client.client_id] = walks
-        return walks
-
     def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
         # Retries and faults need the per-(round, client, attempt)
         # interleaving of the sequential engine, so tolerant rounds (any
         # configured FaultInjector, wire-only ones included) stack nothing
         # and run every client through the shared lifecycle.
         self._groups = {} if self._tolerant else self._plan_groups(participants)
-        return super().execute(participants, server)
+        try:
+            return super().execute(participants, server)
+        finally:
+            # Hold no member past its round: a member's parameters are views
+            # of its group's stacked arrays and would keep all of them alive.
+            self._groups = {}
 
     def _train(
         self, client: FLClient, server, key: int, reference, wire_reference
@@ -505,8 +608,9 @@ class BatchedExecutor(SequentialExecutor):
     # -- grouping ---------------------------------------------------------
     def _batch_key(self, client: FLClient) -> Optional[Tuple[Tuple, List[Step]]]:
         """The client's grouping key + compiled plan, or ``None`` if unbatchable."""
-        if type(client) is not FLClient:
-            return None  # defense subclasses override local_update
+        kind = type(client)
+        if kind not in _OBJECTIVES:
+            return None  # other subclasses (defenses) override local_update
         if type(client._optimizer) is not SGD:
             return None
         if client.augment is not None:
@@ -518,6 +622,7 @@ class BatchedExecutor(SequentialExecutor):
         optimizer = client._optimizer
         dataset: Dataset = client.dataset
         key = (
+            kind,
             sig,
             len(dataset),
             dataset.input_shape,
@@ -527,7 +632,16 @@ class BatchedExecutor(SequentialExecutor):
             optimizer.momentum,
             optimizer.weight_decay,
         )
-        return key, plan
+        dual = sig[:1] == (_DUAL_CHANNEL,)
+        if kind is FLClient:
+            return None if dual else (key, plan)
+        # CIP needs the dual-channel plan, and its Step I runs the model in
+        # eval mode, which the stacked BatchNorm steps (training mode only)
+        # do not implement.
+        if not dual or any(entry[0] in ("bn1d", "bn2d") for entry in sig):
+            return None
+        perturbation = client.perturbation
+        return key + (astuple(perturbation.config), perturbation._optimizer.lr), plan
 
     def _plan_groups(
         self, participants: Sequence[FLClient]
@@ -557,15 +671,17 @@ class BatchedExecutor(SequentialExecutor):
         """Run one round of local training for a whole group, stacked.
 
         Returns the clients' updates and broadcast byte counts (group order).
-        Mirrors ``FLClient.local_update`` + ``train_supervised`` exactly:
-        same protocol order, one RNG derivation per client, same per-batch
+        Mirrors the members' ``local_update`` exactly (``train_supervised``
+        for plain clients, ``CIPTrainer.train_epoch`` for CIP clients): same
+        protocol order, the same RNG derivations per client, same per-batch
         float sequence per client slice.
         """
         cohort = len(group)
-        rngs: List[np.random.Generator] = []
-        walks = [self._walks(client) for client in group]
-        param_lists = [walk[0] for walk in walks]
-        buffer_owners = [walk[1] for walk in walks]
+        objective_kind = _OBJECTIVES[type(group[0])]
+        config = group[0].config
+        streams: List[List[np.random.Generator]] = []
+        param_lists = [list(client.model.named_parameters()) for client in group]
+        buffer_owners = [list(client.model._named_buffer_owners()) for client in group]
         names = [name for name, _ in param_lists[0]]
         buffer_names = [name for name, _ in buffer_owners[0]]
         stacked: List[Tensor] = []
@@ -579,14 +695,13 @@ class BatchedExecutor(SequentialExecutor):
             # the global state: fetch it once, bill it per client, and build
             # each stacked array with one cast + repeat instead of K
             # per-model loads and K re-walks.  The per-model load is skipped
-            # entirely — the round's trained slices overwrite the client
-            # models below, so the intermediate state is never observed.
+            # entirely: the members adopt views of the stacked arrays below.
             state = server.broadcast(group[0].client_id)
             sent = [state_dict_nbytes(state)] * cohort
             for client in group:
                 client.model.train()
                 client._round += 1
-                rngs.append(derive_rng(client._seed, "round", client._round))
+                streams.append(objective_kind.streams(client))
             for name, param in param_lists[0]:
                 cast = np.asarray(state[name], dtype=param.data.dtype)
                 leaf = Tensor(np.repeat(cast[None], cohort, axis=0), requires_grad=True)
@@ -606,7 +721,7 @@ class BatchedExecutor(SequentialExecutor):
                 client.receive_global(state)
                 client.model.train()
                 client._round += 1
-                rngs.append(derive_rng(client._seed, "round", client._round))
+                streams.append(objective_kind.streams(client))
             for position, name in enumerate(names):
                 leaf = Tensor(
                     np.stack([plist[position][1].data for plist in param_lists]),
@@ -622,15 +737,17 @@ class BatchedExecutor(SequentialExecutor):
                     ]
                 )
 
-        config = group[0].config
         optimizer = group[0]._optimizer
         lr, momentum, weight_decay = (
             optimizer.lr,
             optimizer.momentum,
             optimizer.weight_decay,
         )
+        datasets = [client.dataset for client in group]
+        samples = len(datasets[0])
+        stepped = samples > 0 and config.local_epochs > 0
         velocities: List[np.ndarray] = []
-        if momentum:
+        if momentum and stepped:
             for position in range(len(names)):
                 slots = []
                 for member_index, client in enumerate(group):
@@ -640,17 +757,30 @@ class BatchedExecutor(SequentialExecutor):
                         velocity if velocity is not None else np.zeros_like(param.data)
                     )
                 velocities.append(np.stack(slots))
+        # Every member's parameters and momentum slots become views of its
+        # slice of the stacked arrays, which train in place: the members'
+        # own copies are dropped now, and each ends the round holding its
+        # trained state.
+        for member_index, client in enumerate(group):
+            slots = client._optimizer._velocity
+            for position, (_, param) in enumerate(param_lists[member_index]):
+                param.data = stacked[position].data[member_index]
+                if velocities:
+                    slots[id(param)] = velocities[position][member_index]
 
-        datasets = [client.dataset for client in group]
-        samples = len(datasets[0])
+        def forward(x, weights: Params) -> Tensor:
+            for step in plan:
+                x = step(x, weights, buffers)
+            return x
+
+        objective = objective_kind(group, forward)
         input_shape = tuple(datasets[0].inputs.shape[1:])
         batch_size = config.batch_size
-        epoch_losses: List[List[float]] = [[] for _ in group]
-        stepped = False
-        for _epoch in range(config.local_epochs):
+        losses = [float("nan")] * cohort
+        for epoch in range(config.local_epochs):
             totals = [0.0] * cohort
             count = 0
-            orders = [rng.permutation(samples) for rng in rngs]
+            orders = [stream[epoch].permutation(samples) for stream in streams]
             for start in range(0, samples, batch_size):
                 stop = min(start + batch_size, samples)
                 batch_len = stop - start
@@ -667,57 +797,52 @@ class BatchedExecutor(SequentialExecutor):
                     batch_labels[k] = datasets[k].labels[selection]
                 for leaf in stacked:
                     leaf.zero_grad()
-                x = Tensor(batch_inputs)
-                for step in plan:
-                    x = step(x, params, buffers)
-                loss_vec = _batched_cross_entropy(x, batch_labels)
+                loss_vec = objective.loss(params, batch_inputs, batch_labels)
                 loss_vec.sum().backward()
+                # SGD in place: the optimizer's out-of-place float sequence,
+                # without a second [K, ...] copy of the leaves or velocities.
                 for position, leaf in enumerate(stacked):
                     grad = leaf.grad
                     if grad is None:
                         continue
+                    leaf.zero_grad()
                     if weight_decay:
-                        grad = grad + weight_decay * leaf.data
+                        grad += weight_decay * leaf.data
+                    grad *= lr
                     if momentum:
-                        velocity = momentum * velocities[position] - lr * grad
-                        velocities[position] = velocity
-                        leaf.data = leaf.data + velocity
+                        velocity = velocities[position]
+                        velocity *= momentum
+                        velocity -= grad
+                        leaf.data += velocity
                     else:
-                        leaf.data = leaf.data - lr * grad
-                stepped = True
+                        leaf.data -= grad
                 for k in range(cohort):
                     totals[k] += float(loss_vec.data[k]) * batch_len
                 count += batch_len
-            for k in range(cohort):
-                epoch_losses[k].append(totals[k] / max(count, 1))
+            losses = [total / max(count, 1) for total in totals]
+            objective.end_epoch(losses, count)
 
-        # Unstack: each client's model adopts a view of its trained slice
-        # (the stacked arrays are fresh this round and nothing mutates them
-        # in place afterwards), while the update payload gets independent
-        # copies, exactly like the sequential ``clone_state_dict`` path.
-        # The update dict is built params-then-buffers in walk order — the
-        # same key order ``Module.state_dict`` produces.
+        # The update payloads get independent copies, exactly like the
+        # sequential ``clone_state_dict`` path, built params-then-buffers in
+        # walk order — the key order ``Module.state_dict`` produces.
         updates: List[ClientUpdate] = []
         for member_index, client in enumerate(group):
-            state: Dict[str, np.ndarray] = {}
-            for position in range(len(names)):
-                trained = stacked[position].data[member_index]
-                param_lists[member_index][position][1].data = trained
-                state[names[position]] = trained.copy()
+            state: Dict[str, np.ndarray] = {
+                name: leaf.data[member_index].copy() for name, leaf in zip(names, stacked)
+            }
             for name, (module, local) in buffer_owners[member_index]:
                 module._set_buffer(local, buffers[name][member_index])
                 state[name] = buffers[name][member_index].copy()
-            if momentum and stepped:
-                slots = client._optimizer._velocity
-                for position in range(len(names)):
-                    param = param_lists[member_index][position][1]
-                    slots[id(param)] = velocities[position][member_index]
             updates.append(
                 ClientUpdate(
                     client_id=client.client_id,
                     state=state,
                     num_samples=len(client.dataset),
-                    train_loss=epoch_losses[member_index][-1],
+                    train_loss=losses[member_index],
                 )
             )
         return updates, sent
+
+
+#: The objective each stackable client type trains with.
+_OBJECTIVES = {FLClient: _PlainObjective, CIPClient: _CIPObjective}

@@ -367,6 +367,27 @@ def _raw_frame(name: str, value: np.ndarray) -> bytes:
     return _frame_leaf(name, value, _SCHEME_RAW, zlib.compress(value.tobytes(), 6))
 
 
+def _topk_indices(accumulated: np.ndarray, k: int) -> np.ndarray:
+    """Ascending flat indices of the ``k`` largest magnitudes of a 1-D array.
+
+    The selection is the first ``k`` entries of a stable sort on
+    ``-|accumulated|``: magnitude ties go to the lowest flat index and NaN
+    ranks below every number, which makes the payload canonical.  It runs
+    without the full sort: ``np.partition`` finds the k-th largest
+    magnitude, every entry above it is kept, and the lowest-index ties fill
+    the rest.
+    """
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    magnitude = np.abs(accumulated)
+    # Magnitudes are >= 0, so -1 ranks NaN last, as the sort does.
+    magnitude[np.isnan(magnitude)] = -1
+    threshold = np.partition(magnitude, magnitude.size - k)[magnitude.size - k]
+    above = np.flatnonzero(magnitude > threshold)
+    ties = np.flatnonzero(magnitude == threshold)[: k - above.size]
+    return np.sort(np.concatenate([above, ties]))
+
+
 class TopKCodec(Codec):
     """Top-k magnitude sparsification of the delta, with error feedback.
 
@@ -429,14 +450,7 @@ class TopKCodec(Codec):
                     "with u32"
                 )
             k = min(size, max(1, int(np.ceil(self.fraction * size)))) if size else 0
-            if k:
-                # Stable sort on -|acc| breaks magnitude ties by lowest flat
-                # index, making the payload canonical; ascending index order
-                # makes it byte-comparable across runs.
-                selected = np.argsort(-np.abs(accumulated), kind="stable")[:k]
-                indices = np.sort(selected).astype(np.uint32)
-            else:
-                indices = np.zeros(0, dtype=np.uint32)
+            indices = _topk_indices(accumulated, k).astype(np.uint32)
             values = accumulated[indices].astype(value.dtype, copy=True)
             leftover = accumulated.astype(value.dtype, copy=True)
             leftover[indices] = 0

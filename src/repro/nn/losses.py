@@ -49,6 +49,30 @@ def cross_entropy(
     return _reduce(per_sample, reduction)
 
 
+def stacked_cross_entropy(
+    logits: Tensor, labels: np.ndarray, reduction: str = "mean"
+) -> Tensor:
+    """Per-client cross-entropy over client-stacked ``(K, N, C)`` logits.
+
+    :func:`cross_entropy` op for op along the client axis, reducing over
+    each client's samples: ``"mean"`` gives ``(K,)`` losses (with the
+    float32 policy's float64 upcast), ``"none"`` the ``(K, N)`` per-sample
+    losses.  Slice ``k`` is bitwise client ``k``'s :func:`cross_entropy`
+    of ``(logits[k], labels[k])``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 3 or labels.shape != logits.shape[:2]:
+        raise ValueError("stacked_cross_entropy expects (K, N, C) logits and (K, N) labels")
+    log_probs = log_softmax(logits, axis=-1)
+    # Zeros with 1.0 at each label position: the values of stacked
+    # ``one_hot`` results, without the per-client calls.
+    cohort, batch_len = labels.shape
+    hot = np.zeros(logits.shape, dtype=log_probs.data.dtype)
+    hot[np.arange(cohort)[:, None], np.arange(batch_len)[None, :], labels] = 1.0
+    per_sample = -(log_probs * hot).sum(axis=2)
+    return _reduce(per_sample, reduction, axis=1)
+
+
 def nll_loss(log_probs: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
     """Negative log-likelihood from log-probabilities."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -72,7 +96,7 @@ def l1_norm(tensor: Tensor) -> Tensor:
     return tensor.abs().sum()
 
 
-def _reduce(values: Tensor, reduction: str) -> Tensor:
+def _reduce(values: Tensor, reduction: str, axis: Optional[int] = None) -> Tensor:
     if reduction == "none":
         return values
     policy = get_dtype_policy()
@@ -82,9 +106,9 @@ def _reduce(values: Tensor, reduction: str) -> Tensor:
         # backward returns the gradient to float32 before it reaches the graph.
         values = values.astype(policy.loss_dtype)
     if reduction == "mean":
-        return values.mean()
+        return values.mean(axis=axis)
     if reduction == "sum":
-        return values.sum()
+        return values.sum(axis=axis)
     raise ValueError(f"unknown reduction {reduction!r}")
 
 

@@ -29,11 +29,17 @@ import pytest
 from repro.core.cip_client import CIPClient
 from repro.core.config import CheckpointConfig, CIPConfig
 from repro.data.partition import partition_iid
-from repro.data.synthetic import ImageSpec, generate_image_dataset
+from repro.data.synthetic import (
+    ImageSpec,
+    TabularSpec,
+    generate_image_dataset,
+    generate_tabular_dataset,
+)
 from repro.fl.batched import BatchedExecutor
 from repro.fl.checkpoint import latest_checkpoint, load_checkpoint
 from repro.fl.client import ClientConfig, FLClient
 from repro.fl.executor import ParallelExecutor, SequentialExecutor
+from repro.fl.registry import ClientRegistry, LRUStateStore
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.backend import use_backend
@@ -96,9 +102,10 @@ class TestPinnedDigest:
         assert _state_dict_digest(state) == PINNED_DIGEST
 
     def test_batched_executor_reproduces_the_pinned_digest(self):
-        # CIP clients are not stackable (their local_update override owns
-        # extra RNG draws), so the batched executor must route them through
-        # its per-client fallback and still land on the pinned bytes.
+        # The reference model has BatchNorm, which stacked CIP does not
+        # lower (Step I runs the model in eval mode), so the batched
+        # executor routes these CIP clients through its per-client fallback
+        # and must still land on the pinned bytes.
         with use_backend("numpy", compute_dtype="float64"):
             state = _run_reference_simulation(BatchedExecutor())
         assert _state_dict_digest(state) == PINNED_DIGEST
@@ -171,6 +178,146 @@ class TestExecutorEquivalenceUnderBackends:
             np.testing.assert_allclose(
                 fast[key], reference[key], rtol=1e-2, atol=1e-3, err_msg=key
             )
+
+
+_TABULAR = TabularSpec(num_classes=4, num_features=10, flip_probability=0.1)
+
+
+def _cip_mlp_factory(seed=2024):
+    return build_model(
+        "mlp", _TABULAR.num_classes, dual_channel=True,
+        in_features=_TABULAR.num_features, hidden=(8, 6),
+        seed=derive_rng(seed, "cip-mlp"),
+    )
+
+
+def _cip_mlp_client(cid, shard, cip, seed=2024, local_epochs=2):
+    # Batches of 5 over 12-sample shards end every epoch on a partial batch.
+    return CIPClient(
+        cid, shard, _cip_mlp_factory, cip_config=cip,
+        config=ClientConfig(lr=5e-2, batch_size=5, local_epochs=local_epochs),
+        seed=derive_rng(seed, "cip-c", cid),
+    )
+
+
+class _RecordingBatchedExecutor(BatchedExecutor):
+    """Records the client ids of every group it trains stacked."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stacked = []
+
+    def _train_group(self, group, plan, server):
+        self.stacked.append(sorted(client.client_id for client in group))
+        return super()._train_group(group, plan, server)
+
+
+def _assert_bitwise(a, b, where="state"):
+    """Recursive equality: arrays by dtype, shape and bytes, generators by state."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_bitwise(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert np.array_equal(a, b), where
+    elif isinstance(a, np.random.Generator):
+        assert a.bit_generator.state == b.bit_generator.state, where
+    else:
+        assert a == b, where
+
+
+_CIP_SWEEP = {
+    "no-step-I": CIPConfig(lambda_t=1e-3, lambda_m=1e-6, perturbation_steps=0),
+    "lambda-m-0-unclipped": CIPConfig(
+        lambda_t=1e-3, lambda_m=0.0, perturbation_steps=1, clip_range=None
+    ),
+    "two-steps-capped": CIPConfig(
+        alpha=0.9, lambda_t=1e-3, lambda_m=0.5, perturbation_steps=2,
+        original_loss_cap=1.0,
+    ),
+    "uncapped-unclipped": CIPConfig(
+        lambda_t=1e-3, lambda_m=0.3, perturbation_steps=1, clip_range=None
+    ),
+}
+
+
+class TestStackedCIP:
+    """CIP clients of one configuration train as one stacked group on the
+    batched engine, bitwise equal to the sequential per-client path: the
+    global state, every round's train losses, and each client's whole
+    mutable state (``t``, the perturbation optimizer, the momentum slots,
+    the RNG stream) and loss history.  Every test also asserts that the
+    group really stacked, so a silent per-client fallback cannot pass."""
+
+    @staticmethod
+    def _run_live(executor, cip):
+        dataset = generate_tabular_dataset(_TABULAR, 9, 2024, "train")
+        shards = partition_iid(dataset, 3, seed=derive_rng(2024, "cip-p"))
+        clients = [_cip_mlp_client(i, shards[i], cip) for i in range(3)]
+        server = FLServer(_cip_mlp_factory)
+        with FederatedSimulation(server, clients, executor=executor) as sim:
+            history = sim.run(2)
+        states = {
+            client.client_id: dict(
+                vars(client.get_mutable_state()), history=vars(client._trainer.history)
+            )
+            for client in clients
+        }
+        return server.global_state(), history.train_losses, states
+
+    @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("cip", _CIP_SWEEP.values(), ids=_CIP_SWEEP.keys())
+    def test_batched_matches_sequential_bitwise(self, backend, dtype, cip):
+        batched = _RecordingBatchedExecutor()
+        with use_backend(backend, compute_dtype=dtype):
+            seq_state, seq_losses, seq_clients = self._run_live(SequentialExecutor(), cip)
+            bat_state, bat_losses, bat_clients = self._run_live(batched, cip)
+        assert batched.stacked == [[0, 1, 2]] * 2
+        _assert_bitwise(seq_state, bat_state, "global")
+        assert seq_losses == bat_losses
+        _assert_bitwise(seq_clients, bat_clients, "clients")
+
+    @staticmethod
+    def _run_cohort(executor, spill_dir):
+        cip = CIPConfig(lambda_t=1e-3, lambda_m=1e-2, perturbation_steps=1)
+        dataset = generate_tabular_dataset(_TABULAR, 30, 2024, "train")
+        shards = partition_iid(dataset, 10, seed=derive_rng(2024, "cip-v"))
+
+        def factory(cid):
+            return _cip_mlp_client(cid, shards[cid], cip, local_epochs=1)
+
+        # A store below the cohort: every round spills and rehydrates states.
+        store = LRUStateStore(capacity=2, spill_dir=str(spill_dir))
+        registry = ClientRegistry(factory, population=10, store=store)
+        server = FLServer(_cip_mlp_factory)
+        with FederatedSimulation(
+            server, registry=registry, executor=executor,
+            clients_per_round=6, sampling_seed=3,
+        ) as sim:
+            history = sim.run(3)
+        states = {cid: vars(state) for cid, state in store.snapshot_all().items()}
+        registry.close()
+        return server.global_state(), history.train_losses, states
+
+    @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_virtual_topk_cohort_matches_sequential_bitwise(
+        self, backend, dtype, tmp_path
+    ):
+        codec = {"codec": "topk", "topk_fraction": 0.1}
+        batched = _RecordingBatchedExecutor(**codec)
+        with use_backend(backend, compute_dtype=dtype):
+            seq = self._run_cohort(
+                SequentialExecutor(**codec), tmp_path / "sequential"
+            )
+            bat = self._run_cohort(batched, tmp_path / "batched")
+        assert len(batched.stacked) == 3
+        assert all(len(group) == 6 for group in batched.stacked)
+        _assert_bitwise(seq[0], bat[0], "global")
+        assert seq[1] == bat[1]
+        _assert_bitwise(seq[2], bat[2], "clients")
 
 
 def _build_checkpointed_sim(dataset, directory, every=1):

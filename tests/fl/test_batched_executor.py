@@ -1,8 +1,9 @@
 """Batched round execution: grouping rules, fallbacks, and lifecycle.
 
 :mod:`tests.fl.test_backend_identity` pins the headline bitwise guarantee
-(batched == sequential per backend × dtype, pinned digest under the CIP
-fallback).  This module covers the executor mechanics around it: which
+(batched == sequential per backend × dtype for plain and CIP clients, and
+the pinned digest under the BatchNorm-CIP fallback).  This module covers
+the executor mechanics around it: which
 clients stack together and which fall back, that mixed cohorts and the
 tampering-broadcast slow path stay bit-identical, that communication
 accounting matches the sequential engine, and that the executor owns the
@@ -14,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import ExecutionConfig
+from repro.core.cip_client import CIPClient
+from repro.core.config import CIPConfig, ExecutionConfig
 from repro.data.partition import partition_iid
 from repro.fl.batched import BatchedExecutor, _NotBatchable, compile_stacked_plan
 from repro.fl.client import ClientConfig, FLClient
@@ -56,6 +58,21 @@ def _build_clients(dataset, num_clients, client_cls=FLClient, lr=0.05, **kwargs)
             seed=derive_rng(7, "batched", i), **kwargs,
         )
         for i in range(num_clients)
+    ]
+
+
+def _dual_mlp_factory():
+    return build_model("mlp", 3, dual_channel=True, in_features=10, hidden=(16,), seed=0)
+
+
+def _build_cip_clients(dataset, num_clients, cip, first_id=0):
+    shards = partition_iid(dataset, num_clients, seed=first_id)
+    return [
+        CIPClient(
+            first_id + i, shard, _dual_mlp_factory, cip_config=cip,
+            config=ClientConfig(lr=0.05), seed=derive_rng(7, "cip", first_id + i),
+        )
+        for i, shard in enumerate(shards)
     ]
 
 
@@ -137,6 +154,65 @@ class TestGrouping:
         executor = BatchedExecutor()
         executor.prepare(clients)
         assert set(executor._plan_groups(clients)) == {1, 2}
+
+    def test_cip_clients_stack_together(self, tiny_vector_dataset):
+        clients = _build_cip_clients(tiny_vector_dataset, 3, CIPConfig())
+        executor = BatchedExecutor()
+        executor.prepare(clients)
+        groups = executor._plan_groups(clients)
+        assert set(groups) == {0, 1, 2}
+        assert [client.client_id for client in groups[0][0]] == [0, 1, 2]
+
+    def test_cip_and_plain_clients_never_share_a_group(self, tiny_vector_dataset):
+        plain = _build_clients(tiny_vector_dataset, 2)
+        cip = _build_cip_clients(tiny_vector_dataset, 2, CIPConfig(), first_id=2)
+        executor = BatchedExecutor()
+        clients = plain + cip
+        executor.prepare(clients)
+        groups = executor._plan_groups(clients)
+        assert {c.client_id for c in groups[0][0]} == {0, 1}
+        assert {c.client_id for c in groups[2][0]} == {2, 3}
+
+    def test_differing_cip_configs_split_groups(self, tiny_vector_dataset):
+        clients = _build_cip_clients(tiny_vector_dataset, 2, CIPConfig(lambda_m=1e-6))
+        clients += _build_cip_clients(
+            tiny_vector_dataset, 2, CIPConfig(lambda_m=1e-3), first_id=2
+        )
+        clients += _build_cip_clients(
+            tiny_vector_dataset, 2, CIPConfig(lambda_m=1e-6), first_id=4
+        )
+        clients[5].perturbation.set_lr(0.5)
+        executor = BatchedExecutor()
+        executor.prepare(clients)
+        groups = executor._plan_groups(clients)
+        assert {c.client_id for c in groups[0][0]} == {0, 1, 4}
+        assert {c.client_id for c in groups[2][0]} == {2, 3}
+        assert 5 not in groups
+
+    def test_augmented_cip_clients_fall_back(self, tiny_vector_dataset):
+        clients = _build_cip_clients(tiny_vector_dataset, 3, CIPConfig())
+        clients[0].augment = lambda inputs: inputs
+        executor = BatchedExecutor()
+        executor.prepare(clients)
+        assert set(executor._plan_groups(clients)) == {1, 2}
+
+    def test_batchnorm_cip_clients_fall_back(self, tiny_image_dataset):
+        # Step I runs the model in eval mode; the stacked BatchNorm steps
+        # implement training mode only.
+        def factory():
+            return build_model(
+                "vgg", 4, dual_channel=True, in_channels=1,
+                stage_channels=(4,), convs_per_stage=1, seed=0,
+            )
+
+        shards = partition_iid(tiny_image_dataset, 3, seed=0)
+        clients = [
+            CIPClient(i, shards[i], factory, seed=derive_rng(7, "bn", i))
+            for i in range(3)
+        ]
+        executor = BatchedExecutor()
+        executor.prepare(clients)
+        assert executor._plan_groups(clients) == {}
 
     def test_unsupported_modules_are_not_batchable(self):
         with pytest.raises(_NotBatchable):

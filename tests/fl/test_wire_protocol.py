@@ -31,6 +31,7 @@ from repro.fl.async_engine import AsyncExecutor
 from repro.fl.batched import BatchedExecutor
 from repro.fl.checkpoint import latest_checkpoint, load_checkpoint
 from repro.fl.client import ClientConfig, FLClient
+from repro.fl import communication
 from repro.fl.communication import (
     WIRE_FORMAT_VERSION,
     WIRE_MAGIC,
@@ -39,6 +40,7 @@ from repro.fl.communication import (
     QSGDCodec,
     TopKCodec,
     WireFormatError,
+    _topk_indices,
     codec_name,
     decode_update,
     make_codec,
@@ -199,6 +201,74 @@ class TestPayloadRoundTrip:
             make_codec("gzip")
         assert codec_name(None) == "none"
         assert codec_name(make_codec("topk")) == "topk"
+
+
+def _stable_argsort_topk(accumulated, k):
+    """Oracle: the first ``k`` entries of a stable sort on ``-|accumulated|``."""
+    return np.sort(np.argsort(-np.abs(accumulated), kind="stable")[:k])
+
+
+class TestTopKSelection:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_stable_argsort_on_random_leaves(self, dtype):
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            size = int(rng.integers(1, 300))
+            leaf = rng.normal(size=size)
+            if trial % 2:
+                leaf = np.round(leaf * 2) / 2  # magnitude ties and zeros
+            if trial % 3 == 0:
+                leaf[rng.random(size) < 0.2] = np.nan
+            if trial % 5 == 0:
+                leaf[rng.random(size) < 0.1] = rng.choice([np.inf, -np.inf])
+            leaf = leaf.astype(dtype)
+            for k in {1, size, int(rng.integers(1, size + 1))}:
+                np.testing.assert_array_equal(
+                    _topk_indices(leaf, k), _stable_argsort_topk(leaf, k)
+                )
+
+    @pytest.mark.parametrize(
+        "leaf, k",
+        [
+            (np.arange(7, dtype=np.float64), 7),  # k == size
+            (np.zeros(9), 4),  # all ties
+            (np.full(6, -0.0), 2),
+            (np.array([0.5, np.nan, 2, -np.inf, 1, np.nan]), 3),
+            (np.array([np.inf] + [np.nan] * 8), 3),  # the nan_bomb attack's leaf
+            (np.full(5, np.nan), 2),
+            (np.array([np.nan, -1.0, np.nan, 1.0]), 4),
+        ],
+    )
+    def test_edge_leaves(self, leaf, k):
+        np.testing.assert_array_equal(
+            _topk_indices(leaf, k), _stable_argsort_topk(leaf, k)
+        )
+
+    def test_cohort_update_encodes_to_the_argsort_payload(self, monkeypatch):
+        # The cross-device CIP cohort's update: a dual-channel Purchase-50
+        # MLP, a step's worth of drift, untouched (zero-delta) units and an
+        # error-feedback residual.  Rounding leaves magnitude ties at every
+        # weight leaf's k-th largest entry.
+        model = build_model("mlp", 50, dual_channel=True, in_features=64, seed=3)
+        reference = model.state_dict()
+        rng = np.random.default_rng(3)
+        state, residual = {}, {}
+        for name, value in reference.items():
+            delta = np.round(rng.normal(scale=1e-2, size=value.shape), 3)
+            delta[rng.random(value.shape) < 0.3] = 0.0
+            state[name] = value + delta
+            residual[name] = np.round(rng.normal(scale=1e-3, size=value.shape), 3)
+        codec = TopKCodec(fraction=0.05)
+        payload, leftover = codec.encode_update(
+            4, 17, state, reference=reference, residual=residual
+        )
+        monkeypatch.setattr(communication, "_topk_indices", _stable_argsort_topk)
+        oracle_payload, oracle_leftover = codec.encode_update(
+            4, 17, state, reference=reference, residual=residual
+        )
+        assert payload == oracle_payload
+        for name in oracle_leftover:
+            assert np.array_equal(leftover[name], oracle_leftover[name]), name
 
 
 def _framed_payload():
