@@ -16,7 +16,6 @@ Codec axis:
   the headline row, expected >=10x upload reduction within 0.5pp of the
   dense accuracy.
 * ``qsgd`` — stochastic int8 quantization, ~8x (before zlib).
-* ``delta`` — float32 delta vs broadcast, ~2x; the lossless-ish floor.
 
 Writes ``BENCH_comm_compression.json`` at the repo root.
 
@@ -48,8 +47,8 @@ from repro.nn.models import build_model
 from repro.utils.rng import derive_rng
 
 #: Codec rows of the sweep.  Each codec fixes its own wire precision (none
-#: and topk ship full-precision values, qsgd int8 levels, delta float32).
-CODECS = ("none", "topk", "qsgd", "delta")
+#: and topk ship full-precision values, qsgd int8 levels).
+CODECS = ("none", "topk", "qsgd")
 TOPK_FRACTION = 0.05
 QSGD_LEVELS = 16
 ROUNDS = 11
@@ -177,7 +176,7 @@ def test_comm_compression(benchmark):
     assert topk["upload_reduction"] >= 10.0, topk
     assert abs(topk["accuracy_drop_pp"]) <= 0.5, topk
     # Every compressed row actually compresses.
-    for codec in ("topk", "qsgd", "delta"):
+    for codec in ("topk", "qsgd"):
         assert _row(report, codec)["upload_reduction"] > 1.0, codec
     assert OUTPUT.exists()
 

@@ -15,8 +15,8 @@ or through pytest-benchmark alongside the paper benches:
     pytest benchmarks/bench_robust_agg.py --benchmark-only -s
 
 Expected shape of the numbers: ``median``/``trimmed_mean`` sort per
-coordinate (``O(n·d log n)``), ``krum``/``multi_krum`` compute all pairwise
-distances (``O(n²·d)``), and screening flattens every update once
+coordinate (``O(n·d log n)``), ``krum`` computes all pairwise distances
+(``O(n²·d)``), and screening flattens every update once
 (``O(n·d)``) — all cheap next to local training, which is the point the
 JSON documents.
 """

@@ -1,22 +1,21 @@
-"""Round throughput: execution engines, nn array backends, virtualization.
+"""Round throughput: execution engines, compute dtypes, virtualization.
 
 Four sweeps, one JSON:
 
 1. Sequential vs process execution on a synthetic tabular federation at
    2, 4, and 8 clients (the original bench; row schema unchanged).
-2. ``nn_backend x compute_dtype`` on a conv-heavy image federation (VGG
-   stages — where im2col/GEMM dominates), comparing the numpy reference
-   against the workspace-cached AcceleratedBackend under both dtype
-   policies.  Rows reuse the same timing fields plus the configuration
-   axes and final test accuracy, so accuracy/throughput trade-offs are
-   recorded together.
+2. ``compute_dtype`` on a conv-heavy image federation (VGG stages — where
+   im2col/GEMM dominates), comparing the float64 reference against the
+   float32 policy on the NumPy kernels.  Rows reuse the same timing fields
+   plus the configuration axes and final test accuracy, so
+   accuracy/throughput trade-offs are recorded together.
 3. Sequential vs batched execution on a *cohort-scale* conv federation
    (many clients, a handful of samples each — the regime MIA evaluation
    reruns constantly).  There the sequential engine is dominated by Python
    dispatch over K tiny graphs; the batched engine stacks the cohort into
    grouped kernels.  Each row also records a digest of the final global
    state, and the sweep asserts the batched digest matches sequential
-   bit-for-bit on every backend x dtype combo.
+   bit-for-bit under both dtype policies.
 4. Virtualized *cross-device* rounds (see ``repro.fl.registry``): 2k- and
    10k-client populations at a fixed 100-client cohort.  Each row records
    the flat-memory evidence — peak RSS, store-resident bytes, and the
@@ -69,7 +68,7 @@ from repro.fl.executor import make_executor
 from repro.fl.registry import ClientRegistry
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.backend import use_backend
+from repro.nn.backend import use_compute_dtype
 from repro.nn.models import build_model
 from repro.utils.rng import derive_rng
 
@@ -79,8 +78,8 @@ NUM_WORKERS = 4
 ROUNDS = 3
 #: Two warm-up rounds: the first absorbs worker-pool spawn + client
 #: pickling on the process backend (at ROUNDS=3 a cold pool would dominate
-#: the measurement), the second catches stragglers like lazy workspace
-#: allocation so the timed window sees steady-state rounds only.
+#: the measurement), the second catches first-round stragglers
+#: so the timed window sees steady-state rounds only.
 WARMUP_ROUNDS = 2
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_round_throughput.json"
 
@@ -94,12 +93,10 @@ def _visible_cpus() -> int:
 
 _SPEC = TabularSpec(num_classes=8, num_features=64, flip_probability=0.1)
 
-#: nn-backend sweep axes: every registered backend under both dtype policies.
+#: nn sweep axes: the NumPy kernels under both dtype policies.
 NN_COMBOS = (
     ("numpy", "float64"),
     ("numpy", "float32"),
-    ("accelerated", "float64"),
-    ("accelerated", "float32"),
 )
 #: Enough rounds for the smoke federation to converge (~99% accuracy), so
 #: the float32-vs-float64 accuracy comparison is measured on a trained
@@ -191,13 +188,13 @@ def _build_conv_federation(num_clients: int = 2, seed: int = 0):
 
 
 def _time_nn_combo(nn_backend: str, compute_dtype: str) -> dict:
-    """Sequential conv-heavy federation under one backend x dtype combo.
+    """Sequential conv-heavy federation under one nn x dtype combo.
 
     Same timing fields as the executor rows, plus the configuration axes
     and the final test accuracy (the float32 policy must not cost more
     than a fraction of a point on this smoke-scale task).
     """
-    with use_backend(nn_backend, compute_dtype=compute_dtype):
+    with use_compute_dtype(compute_dtype):
         server, clients, dataset = _build_conv_federation()
         with FederatedSimulation(server, clients) as sim:
             sim.run(WARMUP_ROUNDS)
@@ -270,7 +267,7 @@ def _time_batched_combo(nn_backend: str, compute_dtype: str) -> list:
     """
     rows = []
     for executor_backend in ("sequential", "batched"):
-        with use_backend(nn_backend, compute_dtype=compute_dtype):
+        with use_compute_dtype(compute_dtype):
             server, clients = _build_cohort_conv_federation()
             executor = make_executor(backend=executor_backend)
             with FederatedSimulation(server, clients, executor=executor) as sim:
@@ -503,25 +500,23 @@ def test_round_throughput(benchmark):
     # machine, not what a container/cgroup lets the pool use.
     if report["cpus_visible"] >= NUM_WORKERS:
         assert _speedup(report, 8) >= 2.0
-    # Batching the cohort must reproduce the sequential bits exactly on
-    # every backend x dtype combo...
+    # Batching the cohort must reproduce the sequential bits exactly under
+    # both dtype policies...
     assert all(report["batched_digest_match"].values()), report[
         "batched_digest_match"
     ]
     # ...and collapse per-client Python dispatch into grouped kernels.  The
-    # published JSON shows >=3x at accelerated/float32; assert a safety
-    # margin below that so a loaded CI box doesn't flake the suite.
-    assert report["batched_speedup_vs_sequential"]["accelerated-float32"] >= 2.0
-    # The accelerated float32 path must beat the reference by >=1.3x on
-    # this conv-heavy workload while staying within 0.5pp of its accuracy.
-    speedups = report["nn_backend_speedup_vs_reference"]
-    assert speedups["accelerated-float32"] >= 1.3
+    # published JSON shows >=3x at numpy/float32; assert a safety margin
+    # below that so a loaded CI box doesn't flake the suite.
+    assert report["batched_speedup_vs_sequential"]["numpy-float32"] >= 2.0
+    # The float32 policy must stay within 0.5pp of the float64 accuracy on
+    # this conv-heavy workload.
     by_key = {
         (row["nn_backend"], row["compute_dtype"]): row
         for row in report["nn_backend_rows"]
     }
     reference_accuracy = by_key[("numpy", "float64")]["test_accuracy"]
-    fast_accuracy = by_key[("accelerated", "float32")]["test_accuracy"]
+    fast_accuracy = by_key[("numpy", "float32")]["test_accuracy"]
     assert abs(fast_accuracy - reference_accuracy) <= 0.005
 
 

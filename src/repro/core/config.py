@@ -16,22 +16,22 @@ from dataclasses import Field, dataclass, field, fields, is_dataclass
 from functools import reduce
 from typing import Any, Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
 
-from repro.nn.backend import available_backends, available_dtype_policies
+from repro.nn.backend import available_dtype_policies
 
 #: Round-execution backends understood by :class:`ExecutionConfig`.
 EXECUTION_BACKENDS = ("sequential", "process", "batched", "async")
 
 #: Staleness-weighting families of the buffered async engine (see
 #: :func:`repro.fl.aggregation.staleness_weight`).
-STALENESS_POLICIES = ("constant", "polynomial", "hinge")
+STALENESS_POLICIES = ("constant", "polynomial")
 
 #: Aggregation rules understood by :class:`ExecutionConfig` and the server
 #: (implemented in :mod:`repro.fl.aggregation`).
-AGGREGATORS = ("fedavg", "median", "trimmed_mean", "norm_clip", "krum", "multi_krum")
+AGGREGATORS = ("fedavg", "median", "trimmed_mean", "krum")
 
 #: Update-compression codecs understood by :class:`ExecutionConfig` (the wire
 #: protocol and codec implementations live in :mod:`repro.fl.communication`).
-WIRE_CODECS = ("none", "topk", "qsgd", "delta")
+WIRE_CODECS = ("none", "topk", "qsgd")
 
 #: Malicious-client behaviours understood by :class:`ByzantineConfig`
 #: (implemented in :mod:`repro.fl.malicious`; ``"none"`` means honest).
@@ -51,9 +51,8 @@ STATE_STORES = ("memory", "lru")
 #: ``(title, description)``.  Knobs without a group are top-level flags.
 KNOB_GROUPS = {
     "nn": (
-        "nn backend",
-        "array backend and compute precision for the repro.nn substrate "
-        "(see repro.nn.backend)",
+        "nn precision",
+        "compute precision of the repro.nn substrate (see repro.nn.backend)",
     ),
     "diagnostics": (
         "diagnostics",
@@ -543,12 +542,8 @@ class EngineConfig(_Knobs):
         "async", choices=STALENESS_POLICIES,
     )
     staleness_alpha: float = knob(
-        0.5, "decay exponent/slope of the staleness policy", "async",
+        0.5, "decay exponent of the polynomial staleness policy", "async",
         metavar="ALPHA", check=_NON_NEGATIVE,
-    )
-    staleness_hinge: int = knob(
-        4, "full-weight grace window of the hinge policy", "async",
-        metavar="LAG", check=_NON_NEGATIVE,
     )
     staleness_budget: Optional[int] = knob(
         None, "discard updates older than this many versions instead of "
@@ -565,8 +560,8 @@ class EngineConfig(_Knobs):
     )
     codec: str = knob(
         "none", "wire codec for client uploads: none (dense), topk "
-        "(sparsification with error feedback), qsgd (stochastic quantization), "
-        "delta (float32 delta encoding)", "wire", choices=WIRE_CODECS,
+        "(sparsification with error feedback), qsgd (stochastic quantization)",
+        "wire", choices=WIRE_CODECS,
     )
     topk_fraction: float = knob(
         0.05, "fraction of coordinates the topk codec keeps per leaf", "wire",
@@ -585,7 +580,7 @@ class EngineConfig(_Knobs):
         (("num_workers", "round_timeout", "max_pool_respawns"), "backend", ("process",)),
         (
             ("buffer_size", "concurrency", "staleness_policy", "staleness_alpha",
-             "staleness_hinge", "staleness_budget", "screen_window", "client_latency"),
+             "staleness_budget", "screen_window", "client_latency"),
             "backend", ("async",),
         ),
         (("topk_fraction",), "codec", ("topk",)),
@@ -630,11 +625,6 @@ class ExecutionConfig(EngineConfig):
     screening to the server for the synchronous engines.
     """
 
-    nn_backend: str = knob(
-        "numpy", "array backend for all nn ops (numpy = bit-identical "
-        "reference; accelerated = workspace-cached im2col + preallocated conv "
-        "GEMMs)", "nn", choices=available_backends,
-    )
     compute_dtype: str = knob(
         "float64", "nn compute precision (float32 halves memory traffic; "
         "losses still accumulate in float64, but results are no longer bitwise "
@@ -658,12 +648,8 @@ class ExecutionConfig(EngineConfig):
         0.1, "per-end trim fraction for --aggregator trimmed_mean", "robust",
         metavar="FRACTION", check=(lambda v: 0.0 <= v < 0.5, "must be in [0, 0.5)"),
     )
-    clip_norm: Optional[float] = knob(
-        None, "delta-norm clip for --aggregator norm_clip (default: the "
-        "round's median delta norm)", "robust", metavar="NORM", check=_POSITIVE,
-    )
     krum_byzantine: Optional[int] = knob(
-        None, "assumed Byzantine count f for --aggregator krum/multi_krum "
+        None, "assumed Byzantine count f for --aggregator krum "
         "(default: the maximum tolerable (n-3)//2)", "robust", metavar="F",
         check=_NON_NEGATIVE, option="num_byzantine",
     )
@@ -705,8 +691,7 @@ class ExecutionConfig(EngineConfig):
 
     READ_BY = EngineConfig.READ_BY + (
         (("trim_fraction",), "aggregator", ("trimmed_mean",)),
-        (("clip_norm",), "aggregator", ("norm_clip",)),
-        (("krum_byzantine",), "aggregator", ("krum", "multi_krum")),
+        (("krum_byzantine",), "aggregator", ("krum",)),
         (("gate_norm_multiplier",), "gate_aggregate", (True,)),
         (("checkpoint.every", "checkpoint.keep"), "checkpoint.directory", None),
     )

@@ -14,11 +14,8 @@ average.  The robust alternatives bound that influence:
   majority's values.
 * :func:`trimmed_mean` — coordinate-wise mean after trimming the
   ``trim_fraction`` most extreme values from each end.
-* :func:`norm_clipped_fedavg` — FedAvg over per-update deltas clipped to a
-  bounded L2 norm, capping how far any one client can drag the model.
-* :func:`krum` / :func:`multi_krum` — select the update(s) closest to their
-  ``n - f - 2`` nearest neighbours (Blanchard et al.), discarding geometric
-  outliers entirely.
+* :func:`krum` — select the update closest to its ``n - f - 2`` nearest
+  neighbours (Blanchard et al.), discarding geometric outliers entirely.
 
 All aggregators share a signature ``(states, weights=None, *,
 reference=None, ...)`` so the server can swap them via
@@ -67,9 +64,7 @@ __all__ = [
     "fedavg",
     "coordinate_median",
     "trimmed_mean",
-    "norm_clipped_fedavg",
     "krum",
-    "multi_krum",
     "make_aggregator",
     "shard_partition",
     "ShardAggregator",
@@ -279,50 +274,6 @@ def trimmed_mean(
     return merged
 
 
-def norm_clipped_fedavg(
-    states: Sequence[StateDict],
-    weights: Optional[Sequence[float]] = None,
-    *,
-    reference: Optional[StateDict] = None,
-    clip_norm: Optional[float] = None,
-) -> StateDict:
-    """FedAvg over per-update deltas clipped to a bounded L2 norm.
-
-    Each update's delta from ``reference`` (the broadcast global state) is
-    scaled down to at most ``clip_norm`` before the weighted average, so no
-    single client can move the model further than the bound.  ``clip_norm=
-    None`` clips at the round's *median* delta norm — scale-free, and a
-    boosted replacement attack is cut to a typical honest magnitude.
-    """
-    _check_compatible(states)
-    if reference is None:
-        raise ValueError("norm_clipped_fedavg requires the reference (global) state")
-    if clip_norm is not None and clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    _check_compatible([states[0], reference])
-    weights_arr = _normalized_weights(weights, len(states))
-    deltas = [
-        {
-            key: state[key].astype(np.float64, copy=False)
-            - reference[key].astype(np.float64, copy=False)
-            for key in state
-        }
-        for state in states
-    ]
-    norms = np.array([np.linalg.norm(flatten_state(delta)) for delta in deltas])
-    bound = float(np.median(norms)) if clip_norm is None else float(clip_norm)
-    factors = np.ones(len(states))
-    positive = norms > 0
-    factors[positive] = np.minimum(1.0, bound / norms[positive])
-    merged: StateDict = {}
-    for key in states[0]:
-        acc = reference[key].astype(np.float64, copy=False).copy()
-        for w, factor, delta in zip(weights_arr, factors, deltas):
-            acc += w * factor * delta[key]
-        merged[key] = _cast_back(acc, states[0][key])
-    return merged
-
-
 def _krum_scores(states: Sequence[StateDict], num_byzantine: Optional[int]) -> np.ndarray:
     """Krum score per state: sum of its ``n - f - 2`` smallest squared
     distances to the other states (lower is better)."""
@@ -377,48 +328,10 @@ def krum(
     return {key: value.copy() for key, value in states[winner].items()}
 
 
-def multi_krum(
-    states: Sequence[StateDict],
-    weights: Optional[Sequence[float]] = None,
-    *,
-    num_byzantine: Optional[int] = None,
-    num_selected: Optional[int] = None,
-    reference: Optional[StateDict] = None,
-    staleness: Optional[Sequence[float]] = None,
-) -> StateDict:
-    """Multi-Krum: average the ``m`` best-scored updates.
-
-    ``num_selected=None`` uses ``m = max(1, n - f - 2)``, the selection-set
-    bound of the Krum paper.  Selected updates are averaged *unweighted*.
-
-    With ``staleness`` the selection scores carry the same ``1 / s²``
-    penalty as :func:`krum` and the selected updates are averaged weighted
-    by ``s`` — a fresh selection counts more than a stale one.
-    ``None``/all-ones is plain Multi-Krum, bitwise.
-    """
-    _check_compatible(states)
-    scores = _krum_scores(states, num_byzantine)
-    n = len(states)
-    staleness_arr = _staleness_array(staleness, n)
-    if staleness_arr is not None:
-        scores = scores / np.square(staleness_arr)
-    f = (max(0, (n - 3) // 2)) if num_byzantine is None else int(num_byzantine)
-    m = max(1, n - f - 2) if num_selected is None else int(num_selected)
-    if not 1 <= m <= n:
-        raise ValueError(f"num_selected must be in [1, {n}]")
-    selected = np.argsort(scores, kind="stable")[:m]
-    if staleness_arr is None:
-        return fedavg([states[i] for i in selected])
-    return fedavg(
-        [states[i] for i in selected], weights=[staleness_arr[i] for i in selected]
-    )
-
-
 def make_aggregator(
     name: str,
     *,
     trim_fraction: float = 0.1,
-    clip_norm: Optional[float] = None,
     num_byzantine: Optional[int] = None,
 ) -> Aggregator:
     """Bind an aggregator name and its options into a uniform callable.
@@ -426,9 +339,9 @@ def make_aggregator(
     The result accepts ``(states, weights=None, reference=None,
     staleness=None)`` — the server's calling convention — with the
     rule-specific options closed over.  The selection rules pass
-    ``staleness`` through; ``fedavg`` and ``norm_clip`` ignore it, because
-    the async engine already lag-discounts the *effective states* they
-    average (weighting again would double-discount).  Unknown names raise
+    ``staleness`` through; ``fedavg`` ignores it, because the async engine
+    already lag-discounts the *effective states* it averages (weighting
+    again would double-discount).  Unknown names raise
     ``ValueError`` (valid names: ``AGGREGATORS``).
     """
     if name == "fedavg":
@@ -445,19 +358,8 @@ def make_aggregator(
             lambda states, weights=None, reference=None, staleness=None:
             trimmed_mean(states, trim_fraction=trim_fraction, staleness=staleness)
         )
-    if name == "norm_clip":
-        return (
-            lambda states, weights=None, reference=None, staleness=None:
-            norm_clipped_fedavg(
-                states, weights, reference=reference, clip_norm=clip_norm
-            )
-        )
     if name == "krum":
         return lambda states, weights=None, reference=None, staleness=None: krum(
-            states, num_byzantine=num_byzantine, staleness=staleness
-        )
-    if name == "multi_krum":
-        return lambda states, weights=None, reference=None, staleness=None: multi_krum(
             states, num_byzantine=num_byzantine, staleness=staleness
         )
     raise ValueError(f"unknown aggregator {name!r}; expected one of {AGGREGATORS}")
@@ -502,8 +404,8 @@ class ShardAggregator:
       hoping float addition associates (it does not).  This matches a real
       chain/ring of edge aggregators each folding its members into the
       running partial before passing it on.
-    * robust rules (``median``/``trimmed_mean``/``krum``/``multi_krum``/
-      ``norm_clip``) — **shard-local semantics**: each edge shard applies
+    * robust rules (``median``/``trimmed_mean``/``krum``) — **shard-local
+      semantics**: each edge shard applies
       the rule to its own members, producing one representative; the root
       (optionally via a region tier of ``region_fanout`` shards each)
       applies the same rule over the representatives.  Breakdown points are
@@ -528,7 +430,6 @@ class ShardAggregator:
         region_fanout: Optional[int] = None,
         *,
         trim_fraction: float = 0.1,
-        clip_norm: Optional[float] = None,
         num_byzantine: Optional[int] = None,
     ) -> None:
         if rule not in AGGREGATORS:
@@ -545,10 +446,7 @@ class ShardAggregator:
             None
             if rule == "fedavg"
             else make_aggregator(
-                rule,
-                trim_fraction=trim_fraction,
-                clip_norm=clip_norm,
-                num_byzantine=num_byzantine,
+                rule, trim_fraction=trim_fraction, num_byzantine=num_byzantine
             )
         )
 
@@ -658,12 +556,7 @@ def apply_delta(base: StateDict, delta: StateDict, scale: float = 1.0) -> StateD
     return {key: base[key] + scale * delta[key] for key in base}
 
 
-def staleness_weight(
-    lag: int,
-    policy: str = "polynomial",
-    alpha: float = 0.5,
-    hinge: int = 4,
-) -> float:
+def staleness_weight(lag: int, policy: str = "polynomial", alpha: float = 0.5) -> float:
     """Down-weight for an async update whose base model is ``lag`` versions old.
 
     FedAsync/FedBuff-style staleness decay ``s(lag)``; every policy satisfies
@@ -672,8 +565,6 @@ def staleness_weight(
 
     * ``constant`` — ``1`` regardless of lag (FedBuff's unweighted buffer).
     * ``polynomial`` — ``(1 + lag) ** -alpha`` (Xie et al., FedAsync).
-    * ``hinge`` — ``1`` while ``lag <= hinge``, then
-      ``1 / (alpha * (lag - hinge) + 1)``.
     """
     if lag < 0:
         raise ValueError("lag must be non-negative")
@@ -681,11 +572,7 @@ def staleness_weight(
         raise ValueError(f"policy must be one of {STALENESS_POLICIES}")
     if policy == "constant":
         return 1.0
-    if policy == "polynomial":
-        return float((1.0 + lag) ** -alpha)
-    if lag <= hinge:
-        return 1.0
-    return float(1.0 / (alpha * (lag - hinge) + 1.0))
+    return float((1.0 + lag) ** -alpha)
 
 
 def flatten_state(state: StateDict) -> np.ndarray:

@@ -248,9 +248,8 @@ class AsyncExecutor(RoundExecutor):
             )
             if outcome.rejected is not None:
                 return outcome
-        config = self.config
         weight = staleness_weight(
-            lag, config.staleness_policy, config.staleness_alpha, config.staleness_hinge
+            lag, self.config.staleness_policy, self.config.staleness_alpha
         )
         if lag == 0 and weight == 1.0:
             # Bitwise fast path: origin == current global, no decay — the

@@ -18,7 +18,7 @@ on the sample axis for the shared backbone, and the features of the two
 halves are joined on the last axis for the head.
 
 The batched path is **bitwise identical** to :class:`SequentialExecutor` per
-(nn backend × dtype policy).  That holds because every stacked op reduces to
+dtype policy.  That holds because every stacked op reduces to
 the same float sequence per client slice:
 
 - ``np.matmul`` over a leading batch axis runs each slice through the same
@@ -37,9 +37,10 @@ the same float sequence per client slice:
 Clients that cannot be stacked — other client subclasses (defenses override
 ``local_update``), clients with data augmentation, CIP clients whose model
 has BatchNorm (Step I runs the model in eval mode, and the stacked
-BatchNorm steps implement training mode only), heterogeneous architectures
-or hyperparameters, non-SGD optimizers, models with active dropout, or a
-group of one — run the shared per-client lifecycle
+BatchNorm step implements training mode only), heterogeneous architectures
+or hyperparameters, non-SGD optimizers, models with a layer the plan
+compiler does not lower (dropout, BatchNorm1d, tanh, sigmoid, a bare
+flatten or identity), or a group of one — run the shared per-client lifecycle
 (``RoundExecutor._run_client``), as does the whole round whenever fault
 tolerance is enabled (fault decisions are keyed per-(round, client,
 attempt) and must interleave exactly as the sequential engine does).  A
@@ -56,9 +57,6 @@ Caveats:
   order.
 - A stacked member's parameters, momentum slots and ``t`` are views of its
   slice of the group's stacked arrays, which train in place.
-- On a workspace-recycling backend the stacked graph is single-shot per batch
-  (same contract as ``conv2d``); the executor owns the workspace lifetime and
-  releases the freelist in :meth:`BatchedExecutor.close`.
 """
 
 from __future__ import annotations
@@ -80,23 +78,17 @@ from repro.fl.executor import (
     SequentialExecutor,
 )
 from repro.nn import functional as F
-from repro.nn.backend import get_backend, get_dtype_policy
+from repro.nn.backend import get_dtype_policy
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
-    Flatten,
     GlobalAvgPool2d,
-    Identity,
     Linear,
     MaxPool2d,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn import tensor as T
 from repro.nn.losses import stacked_cross_entropy
@@ -205,34 +197,6 @@ def _batchnorm2d_step(bn: BatchNorm2d, prefix: str) -> Step:
     return step
 
 
-def _batchnorm1d_step(bn: BatchNorm1d, prefix: str) -> Step:
-    weight_name, bias_name = prefix + "weight", prefix + "bias"
-    mean_name, var_name = prefix + "running_mean", prefix + "running_var"
-    momentum, eps, features = bn.momentum, bn.eps, bn.num_features
-
-    def step(x: Tensor, params: Params, buffers: Buffers) -> Tensor:
-        clients = x.shape[0]
-        mean = x.mean(axis=1, keepdims=True)
-        var = ((x - mean) * (x - mean)).mean(axis=1, keepdims=True)
-        dtype = get_dtype_policy().compute_dtype
-        buffers[mean_name] = np.asarray(
-            (1 - momentum) * buffers[mean_name]
-            + momentum * mean.data.reshape(clients, features),
-            dtype=dtype,
-        )
-        buffers[var_name] = np.asarray(
-            (1 - momentum) * buffers[var_name]
-            + momentum * var.data.reshape(clients, features),
-            dtype=dtype,
-        )
-        normalized = (x - mean) / (var + eps).sqrt()
-        scale = params[weight_name].reshape(clients, 1, features)
-        shift = params[bias_name].reshape(clients, 1, features)
-        return normalized * scale + shift
-
-    return step
-
-
 def _pool_step(kind: str, kernel: int, stride: int) -> Step:
     pool = F.max_pool2d if kind == "max" else F.avg_pool2d
 
@@ -241,13 +205,6 @@ def _pool_step(kind: str, kernel: int, stride: int) -> Step:
         folded = x.reshape(clients * per, *x.shape[2:])
         out = pool(folded, kernel, stride)
         return out.reshape(clients, per, *out.shape[1:])
-
-    return step
-
-
-def _flatten_step() -> Step:
-    def step(x: Tensor, params: Params, buffers: Buffers) -> Tensor:
-        return x.reshape(x.shape[0], x.shape[1], -1)
 
     return step
 
@@ -263,18 +220,6 @@ def _relu_step() -> Step:
     return lambda x, params, buffers: x.relu()
 
 
-def _tanh_step() -> Step:
-    return lambda x, params, buffers: x.tanh()
-
-
-def _sigmoid_step() -> Step:
-    return lambda x, params, buffers: x.sigmoid()
-
-
-def _identity_step() -> Step:
-    return lambda x, params, buffers: x
-
-
 def _compile_sequential(seq: Sequential, prefix: str, steps: List[Step], sig: List) -> None:
     modules = list(seq)
     index = 0
@@ -282,8 +227,8 @@ def _compile_sequential(seq: Sequential, prefix: str, steps: List[Step], sig: Li
         module = modules[index]
         child_prefix = f"{prefix}layer{index}."
         successor = modules[index + 1] if index + 1 < len(modules) else None
-        # Fuse conv->relu / linear->relu adjacencies into one backend kernel;
-        # bitwise neutral (see repro.nn.functional) but one graph node each.
+        # Fuse conv->relu / linear->relu adjacencies into one kernel; bitwise
+        # neutral (see repro.nn.functional) but one graph node each.
         if type(module) is Conv2d and type(successor) is ReLU:
             steps.append(_conv_step(module, child_prefix, fuse_relu=True))
             sig.append(("conv2d_relu", child_prefix) + _conv_sig(module))
@@ -326,21 +271,9 @@ def _compile(module: Module, prefix: str, steps: List[Step], sig: List) -> None:
     elif kind is BatchNorm2d:
         steps.append(_batchnorm2d_step(module, prefix))
         sig.append(("bn2d", prefix, module.num_features, module.momentum, module.eps))
-    elif kind is BatchNorm1d:
-        steps.append(_batchnorm1d_step(module, prefix))
-        sig.append(("bn1d", prefix, module.num_features, module.momentum, module.eps))
     elif kind is ReLU:
         steps.append(_relu_step())
         sig.append(("relu",))
-    elif kind is Tanh:
-        steps.append(_tanh_step())
-        sig.append(("tanh",))
-    elif kind is Sigmoid:
-        steps.append(_sigmoid_step())
-        sig.append(("sigmoid",))
-    elif kind is Flatten:
-        steps.append(_flatten_step())
-        sig.append(("flatten",))
     elif kind is MaxPool2d:
         steps.append(_pool_step("max", module.kernel_size, module.stride))
         sig.append(("maxpool", module.kernel_size, module.stride))
@@ -350,17 +283,6 @@ def _compile(module: Module, prefix: str, steps: List[Step], sig: List) -> None:
     elif kind is GlobalAvgPool2d:
         steps.append(_gap_step())
         sig.append(("gap",))
-    elif kind is Identity:
-        steps.append(_identity_step())
-        sig.append(("identity",))
-    elif kind is Dropout:
-        # Inactive dropout is an exact identity (no RNG draw); an active one
-        # would need per-client mask streams interleaved exactly as the
-        # sequential loop draws them — not supported, fall back.
-        if module.rate > 0.0:
-            raise _NotBatchable("active dropout is not batchable")
-        steps.append(_identity_step())
-        sig.append(("identity",))
     elif kind is MLPBackbone:
         steps.append(_mlp_flatten_step())
         sig.append(("mlp_flatten",))
@@ -599,11 +521,6 @@ class BatchedExecutor(SequentialExecutor):
             )
             trained.append((member, outcome))
         return trained
-
-    def close(self) -> None:
-        # The executor owns the workspace-freelist lifetime: buffers persist
-        # across rounds for reuse and are released here.
-        get_backend().clear_workspaces()
 
     # -- grouping ---------------------------------------------------------
     def _batch_key(self, client: FLClient) -> Optional[Tuple[Tuple, List[Step]]]:

@@ -50,7 +50,7 @@ import re
 from typing import Dict, List, Optional
 
 from repro.fl.communication import WIRE_FORMAT_VERSION, codec_name
-from repro.nn.backend import active_backend_name, active_compute_dtype
+from repro.nn.backend import active_compute_dtype
 from repro.nn.serialization import pack_state_dict, unpack_state_dict
 from repro.utils.logging import get_logger
 
@@ -128,11 +128,8 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
     payload = {
         "version": CHECKPOINT_VERSION,
         "round": round_index,
-        # Restores refuse a mismatched backend/dtype configuration: client
-        # state pickled under float32 would silently poison a float64 run
-        # (and vice versa), and workspace-backed column caches are not
-        # portable across backends.
-        "nn_backend": active_backend_name(),
+        # Restores refuse a mismatched compute dtype: client state pickled
+        # under float32 would silently poison a float64 run (and vice versa).
         "compute_dtype": active_compute_dtype(),
         # The wire codec shapes the run's numerics (lossy codecs) and the
         # clients' error-feedback residuals; restoring under a different
@@ -252,17 +249,17 @@ def restore_simulation(simulation, path: str) -> int:
     import numpy as np
 
     payload = load_checkpoint(path)
-    # Older (pre-backend) checkpoints carry no backend metadata; they were
-    # all written by the numpy/float64 reference configuration.
+    # Older checkpoints may lack the dtype (they were all written under
+    # float64) or record the nn backend that wrote them; only the NumPy
+    # kernels remain, so a payload from any other backend is refused.
     saved_backend = payload.get("nn_backend", "numpy")
     saved_dtype = payload.get("compute_dtype", "float64")
-    if (saved_backend, saved_dtype) != (active_backend_name(), active_compute_dtype()):
+    if (saved_backend, saved_dtype) != ("numpy", active_compute_dtype()):
         raise ValueError(
             f"incompatible checkpoint: {path} was written under nn backend "
             f"{saved_backend!r} with compute dtype {saved_dtype!r}, but the "
-            f"simulation is running {active_backend_name()!r}/"
-            f"{active_compute_dtype()!r}; re-run with the matching "
-            "--nn-backend/--compute-dtype (or restart training from scratch)"
+            f"simulation is running 'numpy'/{active_compute_dtype()!r}; re-run "
+            "with the matching --compute-dtype (or restart training from scratch)"
         )
     # Pre-codec checkpoints carry no wire metadata; they were all written by
     # dense (codec-free) runs at wire format 1.

@@ -18,7 +18,7 @@ everything that crosses the (simulated) wire:
       then, per leaf, sorted by name:
         u16 name length | name (utf-8)
         u8  dtype length | numpy dtype string (e.g. "<f8")
-        u8  scheme        (0 raw / 1 topk / 2 qsgd / 3 delta32)
+        u8  scheme        (0 raw / 1 topk / 2 qsgd)
         u8  ndim | ndim x u64 dims
         u64 blob length | blob
 
@@ -40,8 +40,6 @@ everything that crosses the (simulated) wire:
             levels.  The rounding randomness is derived statelessly from
             ``(codec seed, round, client)``, so encoding is deterministic
             across backends, retries, and checkpoint resume.
-  ``delta`` float32 delta-vs-broadcast encoding, zlib-compressed — the cheap
-            2x+ option when sparsity assumptions are off the table.
   ======== ===================================================================
 
   Decoding is fully self-describing given the broadcast reference:
@@ -53,8 +51,7 @@ transmits exact (full-precision) delta entries, so ``sum(decoded deltas) +
 residual == sum(true deltas)`` holds exactly per coordinate; two runs with
 the same schedule produce identical payloads.  ``qsgd`` is lossy but its
 stochastic rounding is a pure function of ``(seed, round, client)`` and the
-update, so it, too, is bitwise replayable.  ``delta`` is deterministically
-lossy (float32 rounding).  All codecs are applied at the executors' update
+update, so it, too, is bitwise replayable.  All codecs are applied at the executors' update
 *collection* point and decoded immediately, so screening, robust
 aggregation, and the global model always operate on real (post-wire) states.
 """
@@ -180,7 +177,6 @@ CODEC_IDS = {name: index for index, name in enumerate(WIRE_CODECS)}
 _SCHEME_RAW = 0  # zlib-compressed verbatim bytes (non-float leaves)
 _SCHEME_TOPK = 1  # zlib(u64 k | k x u32 flat indices | k x leaf-dtype values)
 _SCHEME_QSGD = 2  # f64 scale | u16 levels | zlib-compressed int8 level array
-_SCHEME_DELTA32 = 3  # zlib-compressed float32 delta array
 
 _HEADER = struct.Struct("<4sBBHI")
 
@@ -525,39 +521,6 @@ class QSGDCodec(Codec):
         return _pack_frames(self.codec_id, frames), None
 
 
-class DeltaCodec(Codec):
-    """Float32 delta-vs-broadcast encoding, zlib-compressed.
-
-    Deterministically lossy: float64 leaves lose the float32 rounding of
-    their *delta* (much smaller magnitude than the weights themselves, so
-    far gentler than a float32 cast of the raw state); float32 leaves
-    round-trip exactly.
-    """
-
-    name = "delta"
-
-    def encode_update(
-        self,
-        round_index: int,
-        client_id: int,
-        state: StateDict,
-        reference: Optional[StateDict] = None,
-        residual: Optional[StateDict] = None,
-    ) -> Tuple[bytes, Optional[StateDict]]:
-        reference = self._require_reference(reference)
-        frames: List[bytes] = []
-        for name in sorted(state):
-            value = np.asarray(state[name])
-            if not np.issubdtype(value.dtype, np.floating):
-                frames.append(_raw_frame(name, value))
-                continue
-            base = _reference_leaf(reference, name, value.shape)
-            delta = (value - base.astype(value.dtype, copy=False)).astype(np.float32)
-            blob = zlib.compress(delta.tobytes(), 6)
-            frames.append(_frame_leaf(name, value, _SCHEME_DELTA32, blob))
-        return _pack_frames(self.codec_id, frames), None
-
-
 # ----------------------------------------------------------------------
 # Decoding (codec-independent)
 # ----------------------------------------------------------------------
@@ -605,17 +568,6 @@ def _decode_leaf(
             )
         signed = np.frombuffer(raw, dtype=np.int8).astype(np.float64)
         delta = (scale * signed / levels).astype(dtype)
-        return name, (base.astype(dtype, copy=False) + delta.reshape(shape)).astype(
-            dtype, copy=False
-        )
-    if scheme == _SCHEME_DELTA32:
-        raw = _decompress(blob, name)
-        if len(raw) != size * 4:
-            raise WireFormatError(
-                f"leaf {name!r} decompressed to {len(raw)} bytes, expected "
-                f"{size * 4} (float32 delta)"
-            )
-        delta = np.frombuffer(raw, dtype=np.float32).astype(dtype)
         return name, (base.astype(dtype, copy=False) + delta.reshape(shape)).astype(
             dtype, copy=False
         )
@@ -699,6 +651,4 @@ def make_codec(
         return TopKCodec(fraction=topk_fraction)
     if name == "qsgd":
         return QSGDCodec(levels=qsgd_levels, seed=seed)
-    if name == "delta":
-        return DeltaCodec()
     raise ValueError(f"unknown codec {name!r}; expected one of {WIRE_CODECS}")

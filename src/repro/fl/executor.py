@@ -104,10 +104,10 @@ from repro.fl.faults import (
     FaultInjector,
     RetryBackoff,
 )
-from repro.nn.diagnostics import WORKSPACE_STAT_KEY, OpStat, op_stats_delta
+from repro.nn.backend import active_compute_dtype, set_compute_dtype
+from repro.nn.diagnostics import OpStat, op_stats_delta
 from repro.nn.diagnostics import get_op_stats as _get_op_stats
 from repro.nn.diagnostics import profiling_enabled as _op_profiling_enabled
-from repro.nn.diagnostics import workspace_op_stat as _workspace_op_stat
 from repro.nn.serialization import (
     pack_state_dict,
     state_dict_nbytes,
@@ -259,10 +259,7 @@ class RoundExecution:
     ``op_stats`` holds the round's per-op counter deltas when op profiling
     is on (``repro.nn.diagnostics``); empty otherwise.  On the process
     backend it covers coordinator-side ops only — worker processes keep
-    their own counters.  When the active nn backend pools workspaces, a
-    synthetic entry under :data:`~repro.nn.diagnostics.WORKSPACE_STAT_KEY`
-    reports the round's freelist hits/misses and the bytes resident in the
-    pool (see ``repro.nn.diagnostics.workspace_op_stat``).
+    their own counters.
     """
 
     results: List[ClientExecution] = field(default_factory=list)
@@ -547,23 +544,12 @@ class RoundExecutor(ABC):
         )
 
     def _profile_begin(self):
-        """Snapshot op + workspace counters when profiling is on (else ``None``)."""
-        if not _op_profiling_enabled():
-            return None
-        from repro.nn.backend import get_backend
-
-        return (_get_op_stats(), get_backend().workspace_stats())
+        """Snapshot the op counters when profiling is on (else ``None``)."""
+        return _get_op_stats() if _op_profiling_enabled() else None
 
     def _profile_end(self, token) -> Dict[str, "OpStat"]:
-        """The round's op-stat delta, plus the synthetic workspace entry."""
-        if token is None:
-            return {}
-        op_before, workspace_before = token
-        stats = op_stats_delta(op_before)
-        workspace = _workspace_op_stat(workspace_before)
-        if workspace is not None:
-            stats[WORKSPACE_STAT_KEY] = workspace
-        return stats
+        """The round's op-stat delta (empty when profiling is off)."""
+        return {} if token is None else op_stats_delta(token)
 
     def _decide(self, round_index: int, client_id: int, attempt: int) -> FaultDecision:
         if self.fault_injector is None:
@@ -867,19 +853,12 @@ class SequentialExecutor(RoundExecutor):
 _WORKER_CLIENTS: Dict[int, FLClient] = {}
 
 
-def _worker_init(
-    payload: bytes,
-    backend_name: Optional[str] = None,
-    compute_dtype: Optional[str] = None,
-) -> None:
+def _worker_init(payload: bytes, compute_dtype: str) -> None:
     global _WORKER_CLIENTS
-    # Activate the coordinator's nn backend/dtype policy BEFORE unpickling:
-    # client state (parameters, buffers) must materialize under the same
-    # dtype policy the coordinator trained it with.
-    if backend_name is not None or compute_dtype is not None:
-        from repro.nn.backend import set_backend
-
-        set_backend(backend_name, compute_dtype=compute_dtype)
+    # Activate the coordinator's dtype policy BEFORE unpickling: client
+    # state (parameters, buffers) must materialize under the same policy
+    # the coordinator trained it with.
+    set_compute_dtype(compute_dtype)
     _WORKER_CLIENTS = pickle.loads(payload)
 
 
@@ -973,12 +952,10 @@ class ParallelExecutor(RoundExecutor):
                 len(self._clients),
                 len(payload) / 1e6,
             )
-            from repro.nn.backend import active_backend_name, active_compute_dtype
-
             self._pool = ProcessPoolExecutor(
                 max_workers=self.num_workers,
                 initializer=_worker_init,
-                initargs=(payload, active_backend_name(), active_compute_dtype()),
+                initargs=(payload, active_compute_dtype()),
             )
         return self._pool
 

@@ -116,12 +116,7 @@ class RoundMetrics:
     #: aggregation step (0.0 on synchronous engines, where lag is always 0).
     mean_staleness: float = 0.0
     #: Per-op counter deltas for the round when op profiling is enabled
-    #: (see :mod:`repro.nn.diagnostics`); empty otherwise.  Besides the
-    #: profiled ops, a synthetic ``"workspace"`` entry reports the round's
-    #: workspace-freelist traffic when the active backend pools buffers:
-    #: ``calls`` holds the round's pool hits, ``backward_calls`` its misses,
-    #: and ``bytes_out`` the bytes currently parked in the pool (see
-    #: :func:`repro.nn.diagnostics.workspace_op_stat`).
+    #: (see :mod:`repro.nn.diagnostics`); empty otherwise.
     op_stats: Dict[str, "OpStat"] = field(default_factory=dict)
     #: Process high-water RSS (``ru_maxrss``, bytes) measured right after
     #: the round's aggregation — the flat-memory evidence for virtualized

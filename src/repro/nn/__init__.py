@@ -8,15 +8,11 @@ optimizers, and mini versions of the paper's backbone architectures.  See
 """
 
 from repro.nn.backend import (
-    ArrayBackend,
     DtypePolicy,
-    available_backends,
     available_dtype_policies,
-    get_backend,
     get_dtype_policy,
-    register_backend,
-    set_backend,
-    use_backend,
+    set_compute_dtype,
+    use_compute_dtype,
 )
 from repro.nn.tensor import Tensor, no_grad, concatenate, stack, where
 from repro.nn import functional
@@ -56,15 +52,11 @@ from repro.nn.serialization import (
 )
 
 __all__ = [
-    "ArrayBackend",
     "DtypePolicy",
-    "available_backends",
     "available_dtype_policies",
-    "get_backend",
     "get_dtype_policy",
-    "register_backend",
-    "set_backend",
-    "use_backend",
+    "set_compute_dtype",
+    "use_compute_dtype",
     "Tensor",
     "no_grad",
     "concatenate",

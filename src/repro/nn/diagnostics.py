@@ -41,20 +41,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.backend import (
-    WorkspaceStats,
-    active_backend_name,
-    get_backend,
-    use_backend,
-)
+from repro.nn.backend import use_compute_dtype
 from repro.nn.tensor import Tensor
 
-#: Reserved key under which executors surface the active backend's
-#: workspace-freelist counters inside an op-stats dict (and hence
-#: ``RoundMetrics.op_stats``).  The synthetic :class:`OpStat` encodes
-#: ``calls`` = freelist hits, ``backward_calls`` = freelist misses,
-#: ``bytes_out`` = bytes resident in the pool; times stay zero.
-#: ``format_op_table`` renders it as a footer line instead of an op row.
+#: An op-stat key no op uses.  ``perfbench/tracing.py`` skips it when it
+#: sums op times, so the name stays until that filter goes.
 WORKSPACE_STAT_KEY = "workspace"
 
 #: Setting this environment variable (to anything but ``0``/``false``/empty)
@@ -252,8 +243,6 @@ class OpStat:
     which runs mean/sub/mul) do not double-count their children.
     ``backward_seconds`` is the total time spent in the op's backward
     closures.  ``bytes_out`` sums the op's forward output sizes.
-    ``backend`` names the array backend the op ran on (``"mixed"`` when
-    stats from different backends were merged).
     """
 
     calls: int = 0
@@ -261,15 +250,6 @@ class OpStat:
     backward_calls: int = 0
     backward_seconds: float = 0.0
     bytes_out: int = 0
-    backend: str = ""
-
-    @staticmethod
-    def _merge_backend(left: str, right: str) -> str:
-        if left == right or not right:
-            return left
-        if not left:
-            return right
-        return "mixed"
 
     def merged(self, other: "OpStat") -> "OpStat":
         return OpStat(
@@ -278,7 +258,6 @@ class OpStat:
             backward_calls=self.backward_calls + other.backward_calls,
             backward_seconds=self.backward_seconds + other.backward_seconds,
             bytes_out=self.bytes_out + other.bytes_out,
-            backend=self._merge_backend(self.backend, other.backend),
         )
 
     def minus(self, other: "OpStat") -> "OpStat":
@@ -288,7 +267,6 @@ class OpStat:
             backward_calls=self.backward_calls - other.backward_calls,
             backward_seconds=self.backward_seconds - other.backward_seconds,
             bytes_out=self.bytes_out - other.bytes_out,
-            backend=self._merge_backend(self.backend, other.backend),
         )
 
     @property
@@ -349,7 +327,6 @@ class OpProfiler:
             stat = self.stats.setdefault(name, OpStat())
             stat.calls += 1
             stat.forward_seconds += max(elapsed - child_time, 0.0)
-            stat.backend = OpStat._merge_backend(stat.backend, active_backend_name())
         if isinstance(result, Tensor):
             stat.bytes_out += result.data.nbytes
         return result
@@ -358,7 +335,6 @@ class OpProfiler:
         stat = self.stats.setdefault(op, OpStat())
         stat.backward_calls += 1
         stat.backward_seconds += seconds
-        stat.backend = OpStat._merge_backend(stat.backend, active_backend_name())
 
     def snapshot(self) -> Dict[str, OpStat]:
         return {name: OpStat(**vars(stat)) for name, stat in self.stats.items()}
@@ -497,85 +473,33 @@ class profile_ops:
             disable_op_profiling()
 
 
-def workspace_op_stat(
-    before: Optional["WorkspaceStats"] = None,
-) -> Optional[OpStat]:
-    """The active backend's freelist counters as a synthetic :class:`OpStat`.
-
-    ``before`` subtracts an earlier :meth:`~repro.nn.backend.ArrayBackend.
-    workspace_stats` snapshot from the hit/miss counters, turning the
-    cumulative totals into a per-round delta; resident bytes stay absolute
-    (they describe what is parked in the pool *now*).  Returns ``None``
-    when the backend pools nothing (e.g. the stateless numpy backend).
-    """
-    backend = get_backend()
-    stats = backend.workspace_stats()
-    hits, misses = stats.hits, stats.misses
-    if before is not None:
-        hits -= before.hits
-        misses -= before.misses
-    if not (hits or misses or stats.resident_bytes):
-        return None
-    return OpStat(
-        calls=hits,
-        backward_calls=misses,
-        bytes_out=stats.resident_bytes,
-        backend=backend.name,
-    )
-
-
-def _format_workspace_line(stat: OpStat) -> str:
-    return (
-        f"{WORKSPACE_STAT_KEY:<14} {stat.backend or '-':<12} "
-        f"hits={stat.calls} misses={stat.backward_calls} "
-        f"resident={stat.bytes_out / 1e6:.2f} MB"
-    )
-
-
 def format_op_table(stats: Optional[Dict[str, OpStat]] = None) -> str:
-    """Render op stats as an aligned text table, slowest first.
-
-    A :data:`WORKSPACE_STAT_KEY` entry is rendered as a footer line (the
-    freelist counters are not an op); when called live (``stats=None``) the
-    active backend's current workspace counters are appended the same way.
-    """
-    live = stats is None
-    stats = get_op_stats() if live else dict(stats)
-    workspace = stats.pop(WORKSPACE_STAT_KEY, None)
-    if workspace is None and live:
-        workspace = workspace_op_stat()
+    """Render op stats as an aligned text table, slowest first."""
+    stats = get_op_stats() if stats is None else stats
     if not stats:
-        if workspace is not None:
-            return _format_workspace_line(workspace)
         return "(no ops profiled)"
     header = (
-        f"{'op':<14} {'backend':<12} {'calls':>8} {'fwd ms':>10} "
+        f"{'op':<14} {'calls':>8} {'fwd ms':>10} "
         f"{'bwd calls':>10} {'bwd ms':>10} {'MB out':>10}"
     )
     lines = [header, "-" * len(header)]
+    total = OpStat()
     for name, stat in sorted(
         stats.items(), key=lambda item: item[1].total_seconds, reverse=True
     ):
-        lines.append(
-            f"{name:<14} {stat.backend or '-':<12} {stat.calls:>8d} "
-            f"{stat.forward_seconds * 1e3:>10.2f} "
-            f"{stat.backward_calls:>10d} {stat.backward_seconds * 1e3:>10.2f} "
-            f"{stat.bytes_out / 1e6:>10.2f}"
-        )
-    totals = merge_op_stats(stats)
-    total = OpStat()
-    for stat in totals.values():
+        lines.append(_format_op_row(name, stat))
         total = total.merged(stat)
     lines.append("-" * len(header))
-    lines.append(
-        f"{'total':<14} {total.backend or '-':<12} {total.calls:>8d} "
-        f"{total.forward_seconds * 1e3:>10.2f} "
-        f"{total.backward_calls:>10d} {total.backward_seconds * 1e3:>10.2f} "
-        f"{total.bytes_out / 1e6:>10.2f}"
-    )
-    if workspace is not None:
-        lines.append(_format_workspace_line(workspace))
+    lines.append(_format_op_row("total", total))
     return "\n".join(lines)
+
+
+def _format_op_row(name: str, stat: OpStat) -> str:
+    return (
+        f"{name:<14} {stat.calls:>8d} {stat.forward_seconds * 1e3:>10.2f} "
+        f"{stat.backward_calls:>10d} {stat.backward_seconds * 1e3:>10.2f} "
+        f"{stat.bytes_out / 1e6:>10.2f}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -599,7 +523,6 @@ def gradcheck(
     rtol: Optional[float] = None,
     seed: int = 0,
     op_name: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> bool:
     """Verify ``fn``'s analytic gradients against central finite differences.
 
@@ -615,21 +538,14 @@ def gradcheck(
     analytic gradient runs in the inputs' real dtypes, and default
     tolerances widen automatically when any checked input is float32.
 
-    ``backend`` pins the whole check (analytic *and* numerical passes) to
-    a named array backend; ``None`` checks whatever backend is active.
-    The numerical pass additionally forces the float64 dtype policy, so a
-    float32 compute policy cannot round away the finite-difference probe.
+    The numerical pass forces the float64 dtype policy, so a float32
+    compute policy cannot round away the finite-difference probe.
 
     Raises :class:`GradcheckError` (naming ``op_name``) on the first
     violated invariant: a missing gradient, a gradient whose shape differs
     from its tensor's shape, or an analytic/numerical mismatch.  Returns
     ``True`` when everything agrees.
     """
-    if backend is not None:
-        with use_backend(backend):
-            return gradcheck(
-                fn, inputs, eps=eps, atol=atol, rtol=rtol, seed=seed, op_name=op_name
-            )
     tensors = [inputs] if isinstance(inputs, Tensor) else list(inputs)
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     checked = [(i, t) for i, t in enumerate(tensors) if t.requires_grad]
@@ -672,7 +588,7 @@ def gradcheck(
         # compute policy the Tensor(d) leaves would be cast down and the
         # eps-sized probes would drown in rounding error.  A no-op under
         # the default policy, so the reference path is untouched.
-        with use_backend(compute_dtype="float64"):
+        with use_compute_dtype("float64"):
             result = fn(*[Tensor(d) for d in datas])
         return float((np.asarray(result.data, dtype=np.float64) * projection).sum())
 

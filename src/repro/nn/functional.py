@@ -5,8 +5,8 @@ lifting happens inside a single BLAS matmul per layer — the only way a NumPy
 conv net stays usable on CPU.  All layouts are NCHW.
 
 The array machinery (im2col/col2im, window extraction, the conv GEMMs)
-lives in the active :class:`~repro.nn.backend.ArrayBackend`; this module
-owns only the autograd wiring around it.
+lives in :mod:`repro.nn.backend`; this module owns only the autograd wiring
+around it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.backend import conv_output_size as _conv_output_size
-from repro.nn.backend import get_backend
+from repro.nn import backend as K
 from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
 
 #: Op entry points instrumented by :mod:`repro.nn.diagnostics` when op
@@ -25,7 +24,6 @@ from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
 PROFILED_OPS = (
     "conv2d",
     "conv2d_grouped",
-    "fused_conv2d_relu",
     "fused_linear_relu",
     "max_pool2d",
     "avg_pool2d",
@@ -33,30 +31,6 @@ PROFILED_OPS = (
     "softmax",
     "dropout",
 )
-
-
-# ----------------------------------------------------------------------
-# im2col machinery (delegated to the active backend)
-# ----------------------------------------------------------------------
-def im2col(
-    images: np.ndarray, kernel: int, stride: int, padding: int
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold NCHW images into a ``(N*OH*OW, C*KH*KW)`` matrix.
-
-    Returns the matrix and the output spatial size ``(OH, OW)``.
-    """
-    return get_backend().im2col(images, kernel, stride, padding)
-
-
-def col2im(
-    cols: np.ndarray,
-    image_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Fold a ``(N*OH*OW, C*KH*KW)`` matrix back into NCHW images (adjoint of im2col)."""
-    return get_backend().col2im(cols, image_shape, kernel, stride, padding)
 
 
 # ----------------------------------------------------------------------
@@ -77,25 +51,15 @@ def conv2d(
         raise ValueError(
             f"input has {x.shape[1]} channels but weight expects {in_channels}"
         )
-    # The backward runs on the backend that did the forward: the column
-    # cache belongs to that backend's workspace pool.
-    backend = get_backend()
     w_mat = weight.data.reshape(out_channels, -1)  # (O, C*K*K)
-    out_data, cols = backend.conv2d_forward(
+    out_data, cols = K.conv2d_forward(
         x.data, w_mat, None if bias is None else bias.data, kernel, stride, padding
     )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        nonlocal cols
-        if cols is None:
-            raise RuntimeError(
-                "conv2d backward ran twice on a graph built by the "
-                f"{backend.name!r} backend; its column cache is recycled "
-                "inside the first backward, so the graph is single-shot"
-            )
-        grad_x, grad_w, grad_b = backend.conv2d_backward(
+        grad_x, grad_w, grad_b = K.conv2d_backward(
             grad,
             cols,
             w_mat,
@@ -107,8 +71,6 @@ def conv2d(
             need_weight=weight.requires_grad,
             need_bias=bias is not None and bias.requires_grad,
         )
-        if backend.recycles_workspaces:
-            cols = None
         if grad_w is not None:
             weight._accumulate(grad_w.reshape(weight.shape))
         if grad_b is not None:
@@ -119,72 +81,8 @@ def conv2d(
     return x._make(out_data, parents, backward, "conv2d")
 
 
-def fused_conv2d_relu(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """Fused ``relu(conv2d(x, weight, bias))`` in one backend primitive.
-
-    Runs the exact float sequence of :func:`conv2d` followed by
-    ``Tensor.relu`` (the activation is ``pre * (pre > 0)`` and the backward
-    masks the upstream gradient before the conv VJPs), so fusing is bitwise
-    neutral while saving one graph node and one Python dispatch per layer.
-    Like :func:`conv2d`, graphs built on a workspace-recycling backend are
-    single-shot.
-    """
-    out_channels, in_channels, kernel, kernel_w = weight.shape
-    if kernel != kernel_w:
-        raise ValueError("only square kernels are supported")
-    if x.shape[1] != in_channels:
-        raise ValueError(
-            f"input has {x.shape[1]} channels but weight expects {in_channels}"
-        )
-    backend = get_backend()
-    w_mat = weight.data.reshape(out_channels, -1)
-    out_data, cols = backend.conv2d_relu_forward(
-        x.data, w_mat, None if bias is None else bias.data, kernel, stride, padding
-    )
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad: np.ndarray) -> None:
-        nonlocal cols
-        if cols is None:
-            raise RuntimeError(
-                "fused_conv2d_relu backward ran twice on a graph built by "
-                f"the {backend.name!r} backend; its column cache is recycled "
-                "inside the first backward, so the graph is single-shot"
-            )
-        grad_x, grad_w, grad_b = backend.conv2d_relu_backward(
-            grad,
-            out_data,
-            cols,
-            w_mat,
-            x.shape,
-            kernel,
-            stride,
-            padding,
-            need_x=x.requires_grad,
-            need_weight=weight.requires_grad,
-            need_bias=bias is not None and bias.requires_grad,
-        )
-        if backend.recycles_workspaces:
-            cols = None
-        if grad_w is not None:
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if grad_b is not None:
-            bias._accumulate(grad_b)
-        if grad_x is not None:
-            x._accumulate(grad_x)
-
-    return x._make(out_data, parents, backward, "fused_conv2d_relu")
-
-
 def fused_linear_relu(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Fused ``relu(x @ weight + bias)`` in one backend primitive.
+    """Fused ``relu(x @ weight + bias)`` in one kernel.
 
     Accepts the standard ``(N, F) @ (F, O)`` layout and the client-stacked
     ``(K, N, F) @ (K, F, O)`` layout used by the batched executor (``bias``
@@ -192,15 +90,14 @@ def fused_linear_relu(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) 
     add, ``pre * (pre > 0)`` — and the backward's un-broadcast reductions
     match the unfused ``x @ w + b`` / ``relu`` graph bitwise.
     """
-    backend = get_backend()
-    out_data = backend.linear_relu_forward(
+    out_data = K.linear_relu_forward(
         x.data, weight.data, None if bias is None else bias.data
     )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_x, grad_w, grad_pre = backend.linear_relu_backward(
+        grad_x, grad_w, grad_pre = K.linear_relu_backward(
             grad,
             out_data,
             x.data,
@@ -232,8 +129,7 @@ def conv2d_grouped(
     ``g*N:(g+1)*N``; ``weight``: ``(G, O, C, K, K)``; ``bias``: ``(G, O)``.
     Each group is convolved with its own kernels via one grouped im2col and
     one batched GEMM, producing output bitwise identical to G independent
-    :func:`conv2d` calls.  ``relu=True`` fuses the activation.  Graphs
-    built on a workspace-recycling backend are single-shot.
+    :func:`conv2d` calls.  ``relu=True`` fuses the activation.
     """
     groups, out_channels, in_channels, kernel, kernel_w = weight.shape
     if kernel != kernel_w:
@@ -246,9 +142,8 @@ def conv2d_grouped(
         raise ValueError(
             f"input has {x.shape[1]} channels but weight expects {in_channels}"
         )
-    backend = get_backend()
     w_mat3 = weight.data.reshape(groups, out_channels, -1)  # (G, O, C*K*K)
-    out_data, cols3 = backend.grouped_conv2d_forward(
+    out_data, cols3 = K.grouped_conv2d_forward(
         x.data,
         w_mat3,
         None if bias is None else bias.data,
@@ -261,14 +156,7 @@ def conv2d_grouped(
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        nonlocal cols3
-        if cols3 is None:
-            raise RuntimeError(
-                "conv2d_grouped backward ran twice on a graph built by the "
-                f"{backend.name!r} backend; its column cache is recycled "
-                "inside the first backward, so the graph is single-shot"
-            )
-        grad_x, grad_w, grad_b = backend.grouped_conv2d_backward(
+        grad_x, grad_w, grad_b = K.grouped_conv2d_backward(
             grad,
             out_data if relu else None,
             cols3,
@@ -282,8 +170,6 @@ def conv2d_grouped(
             need_bias=bias is not None and bias.requires_grad,
             relu=relu,
         )
-        if backend.recycles_workspaces:
-            cols3 = None
         if grad_w is not None:
             weight._accumulate(grad_w.reshape(weight.shape))
         if grad_b is not None:
@@ -301,9 +187,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling with square windows (no padding)."""
     stride = stride or kernel
     batch, channels, height, width = x.shape
-    out_h = _conv_output_size(height, kernel, stride, 0)
-    out_w = _conv_output_size(width, kernel, stride, 0)
-    view = get_backend().pool_windows(x.data, kernel, stride, out_h, out_w)
+    out_h = K.conv_output_size(height, kernel, stride, 0)
+    out_w = K.conv_output_size(width, kernel, stride, 0)
+    view = K.window_view(x.data, kernel, stride, out_h, out_w)
     windows = view.reshape(batch, channels, out_h, out_w, kernel * kernel)
     arg = windows.argmax(axis=-1)
     out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
@@ -331,9 +217,9 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     """Average pooling with square windows (no padding)."""
     stride = stride or kernel
     batch, channels, height, width = x.shape
-    out_h = _conv_output_size(height, kernel, stride, 0)
-    out_w = _conv_output_size(width, kernel, stride, 0)
-    view = get_backend().pool_windows(x.data, kernel, stride, out_h, out_w)
+    out_h = K.conv_output_size(height, kernel, stride, 0)
+    out_w = K.conv_output_size(width, kernel, stride, 0)
+    view = K.window_view(x.data, kernel, stride, out_h, out_w)
     out_data = view.mean(axis=(4, 5))
     scale = 1.0 / (kernel * kernel)
 
@@ -358,11 +244,10 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax with a fused backward pass."""
-    backend = get_backend()
     shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-    log_z = backend.log(backend.exp(shifted).sum(axis=axis, keepdims=True))
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - log_z
-    softmax_data = backend.exp(out_data)
+    softmax_data = np.exp(out_data)
 
     def backward(grad: np.ndarray) -> None:
         logits._accumulate(grad - softmax_data * grad.sum(axis=axis, keepdims=True))
@@ -373,7 +258,7 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax with a fused backward pass."""
     shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-    exp = get_backend().exp(shifted)
+    exp = np.exp(shifted)
     out_data = exp / exp.sum(axis=axis, keepdims=True)
 
     def backward(grad: np.ndarray) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init as initializers
-from repro.nn.backend import get_backend, get_dtype_policy
+from repro.nn.backend import get_dtype_policy
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, as_generator
 
@@ -299,7 +299,7 @@ class BatchNorm2d(Module):
         else:
             mean_arr = self.running_mean.reshape(1, -1, 1, 1)
             var_arr = self.running_var.reshape(1, -1, 1, 1)
-            normalized = (x - mean_arr) * (1.0 / get_backend().sqrt(var_arr + self.eps))
+            normalized = (x - mean_arr) * (1.0 / np.sqrt(var_arr + self.eps))
         scale = self.weight.reshape(1, self.num_features, 1, 1)
         shift = self.bias.reshape(1, self.num_features, 1, 1)
         return normalized * scale + shift
@@ -335,7 +335,7 @@ class BatchNorm1d(Module):
             normalized = (x - mean) / (var + self.eps).sqrt()
         else:
             normalized = (x - self.running_mean) * (
-                1.0 / get_backend().sqrt(self.running_var + self.eps)
+                1.0 / np.sqrt(self.running_var + self.eps)
             )
         return normalized * self.weight + self.bias
 

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.backend import get_backend
 from repro.nn.tensor import Tensor
 
 
@@ -160,7 +159,7 @@ class Adam(Optimizer):
             self._v[id(param)] = v
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (get_backend().sqrt(v_hat) + self.eps)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()

@@ -15,10 +15,8 @@ autograd.  The design goals, in order:
 Only float64/float32 data participates in differentiation; integer tensors
 may be used for indexing/labels but never require grad.
 
-Array math is routed through the active :class:`~repro.nn.backend.ArrayBackend`
-(see :mod:`repro.nn.backend`), and dtype coercion follows the active
-:class:`~repro.nn.backend.DtypePolicy`; under the defaults (NumPy backend,
-float64 policy) both reproduce the historical behaviour bit-for-bit.
+Dtype coercion follows the active :class:`~repro.nn.backend.DtypePolicy`;
+the default float64 policy reproduces the historical behaviour bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.nn.backend import get_backend, get_dtype_policy
+from repro.nn.backend import get_dtype_policy
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -294,15 +292,14 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
-        backend = get_backend()
-        out_data = backend.matmul(self.data, other.data)
+        out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 if other.data.ndim == 1:
                     self._accumulate(np.outer(grad, other.data) if grad.ndim == 1 else grad[..., None] * other.data)
                 else:
-                    g = backend.matmul(grad, np.swapaxes(other.data, -1, -2))
+                    g = grad @ np.swapaxes(other.data, -1, -2)
                     self._accumulate(_unbroadcast(g, self.shape))
             if other.requires_grad:
                 if self.data.ndim == 1 and other.data.ndim == 1:
@@ -310,7 +307,7 @@ class Tensor:
                 elif self.data.ndim == 1:
                     other._accumulate(np.outer(self.data, grad))
                 else:
-                    g = backend.matmul(np.swapaxes(self.data, -1, -2), grad)
+                    g = np.swapaxes(self.data, -1, -2) @ grad
                     other._accumulate(_unbroadcast(g, other.shape))
 
         return self._make(out_data, (self, other), backward, "matmul")
@@ -319,7 +316,7 @@ class Tensor:
     # Unary math
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out_data = get_backend().exp(self.data)
+        out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
@@ -330,10 +327,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
 
-        return self._make(get_backend().log(self.data), (self,), backward, "log")
+        return self._make(np.log(self.data), (self,), backward, "log")
 
     def sqrt(self) -> "Tensor":
-        out_data = get_backend().sqrt(self.data)
+        out_data = np.sqrt(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * 0.5 / out_data)
@@ -341,7 +338,7 @@ class Tensor:
         return self._make(out_data, (self,), backward, "sqrt")
 
     def tanh(self) -> "Tensor":
-        out_data = get_backend().tanh(self.data)
+        out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data**2))
@@ -349,7 +346,7 @@ class Tensor:
         return self._make(out_data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
-        out_data = get_backend().sigmoid(self.data)
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
@@ -365,13 +362,12 @@ class Tensor:
         return self._make(self.data * mask, (self,), backward, "relu")
 
     def abs(self) -> "Tensor":
-        backend = get_backend()
-        sign = backend.sign(self.data)
+        sign = np.sign(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * sign)
 
-        return self._make(backend.abs(self.data), (self,), backward, "abs")
+        return self._make(np.abs(self.data), (self,), backward, "abs")
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is passed through only inside the range."""
@@ -380,9 +376,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)
 
-        return self._make(
-            get_backend().clip(self.data, low, high), (self,), backward, "clip"
-        )
+        return self._make(np.clip(self.data, low, high), (self,), backward, "clip")
 
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast; the gradient is cast back on the way down.
@@ -405,7 +399,7 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        out_data = get_backend().sum(self.data, axis=axis, keepdims=keepdims)
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(_expand_reduced(grad, self.shape, axis, keepdims))
@@ -413,7 +407,7 @@ class Tensor:
         return self._make(out_data, (self,), backward, "sum")
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        out_data = get_backend().mean(self.data, axis=axis, keepdims=keepdims)
+        out_data = self.data.mean(axis=axis, keepdims=keepdims)
         scale = self.size / max(out_data.size, 1)
 
         def backward(grad: np.ndarray) -> None:
@@ -422,7 +416,7 @@ class Tensor:
         return self._make(out_data, (self,), backward, "mean")
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = get_backend().amax(self.data, axis=axis, keepdims=keepdims)
+        out_data = self.data.max(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
             expanded = _expand_reduced(grad, self.shape, axis, keepdims)
@@ -490,7 +484,7 @@ class Tensor:
 
     def pad(self, pad_width: Sequence[Tuple[int, int]]) -> "Tensor":
         pad_width = tuple(tuple(p) for p in pad_width)
-        out_data = get_backend().pad(self.data, pad_width)
+        out_data = np.pad(self.data, pad_width)
         slices = tuple(
             slice(lo, dim + lo) for (lo, _hi), dim in zip(pad_width, self.shape)
         )
@@ -593,7 +587,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a = Tensor._lift(a)
     b = Tensor._lift(b)
     cond = np.asarray(condition, dtype=bool)
-    out_data = get_backend().where(cond, a.data, b.data)
+    out_data = np.where(cond, a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:

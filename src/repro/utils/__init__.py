@@ -2,6 +2,5 @@
 
 from repro.utils.rng import RngMixin, derive_rng, spawn_rngs
 from repro.utils.logging import get_logger
-from repro.utils.timer import Timer
 
-__all__ = ["RngMixin", "derive_rng", "spawn_rngs", "get_logger", "Timer"]
+__all__ = ["RngMixin", "derive_rng", "spawn_rngs", "get_logger"]

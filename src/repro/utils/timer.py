@@ -1,46 +1,9 @@
-"""Small wall-clock timing helper used by the experiment harness."""
+"""Wall-clock timing of a ``with`` block, used by the FL round engines."""
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
-
-
-class Timer:
-    """Accumulating stopwatch with named sections.
-
-    >>> timer = Timer()
-    >>> with timer.section("train"):
-    ...     pass
-    >>> timer.total("train") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-
-    def section(self, name: str) -> "_Section":
-        return _Section(self, name)
-
-    def add(self, name: str, elapsed: float) -> None:
-        self._totals[name] = self._totals.get(name, 0.0) + elapsed
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        return self._totals.get(name, 0.0)
-
-    def count(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def mean(self, name: str) -> float:
-        count = self._counts.get(name, 0)
-        if count == 0:
-            return 0.0
-        return self._totals[name] / count
-
-    def summary(self) -> Dict[str, float]:
-        return dict(self._totals)
+from typing import Optional
 
 
 class Stopwatch:
@@ -67,18 +30,3 @@ class Stopwatch:
         assert self._start is not None
         self.elapsed = time.perf_counter() - self._start
         self._start = None
-
-
-class _Section:
-    def __init__(self, timer: Timer, name: str) -> None:
-        self._timer = timer
-        self._name = name
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._start is not None
-        self._timer.add(self._name, time.perf_counter() - self._start)

@@ -48,7 +48,6 @@ MATRIX = [
         {"backend": "async", "staleness_policy": "constant"},
     ),
     ("staleness_alpha", {"staleness_alpha": 3.0}, {"backend": "async", "staleness_alpha": 3.0}),
-    ("staleness_hinge", {"staleness_hinge": 2}, {"backend": "async", "staleness_hinge": 2}),
     ("staleness_budget", {"staleness_budget": 8}, {"backend": "async", "staleness_budget": 8}),
     ("screen_window", {"screen_window": 8}, {"backend": "async", "screen_window": 8}),
     ("client_latency", {"client_latency": 0.1}, {"backend": "async", "client_latency": 0.1}),
@@ -74,12 +73,7 @@ MATRIX = [
         {"trim_fraction": 0.2},
         {"aggregator": "trimmed_mean", "trim_fraction": 0.2},
     ),
-    (
-        "clip_norm",
-        {"aggregator": "median", "clip_norm": 1.0},
-        {"aggregator": "norm_clip", "clip_norm": 1.0},
-    ),
-    ("krum_byzantine", {"krum_byzantine": 1}, {"aggregator": "multi_krum", "krum_byzantine": 1}),
+    ("krum_byzantine", {"krum_byzantine": 1}, {"aggregator": "krum", "krum_byzantine": 1}),
     (
         "gate_norm_multiplier",
         {"gate_norm_multiplier": 2.0},

@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import ExecutionConfig
 from repro.experiments.__main__ import build_parser, main, parse_command_line
 from repro.experiments.common import get_execution_config, set_execution_config
+from repro.nn.backend import active_compute_dtype
 
 #: Every option of the parser: (strings, dest, default, type, choices, action).
 CLI_SURFACE = [
@@ -21,7 +22,6 @@ CLI_SURFACE = [
     (('--backend',), 'backend', 'sequential', None,
      ('sequential', 'process', 'batched', 'async'), '_StoreAction'),
     (('--num-workers',), 'num_workers', None, 'int', None, '_StoreAction'),
-    (('--nn-backend',), 'nn_backend', 'numpy', None, ('numpy', 'accelerated'), '_StoreAction'),
     (('--compute-dtype',), 'compute_dtype', 'float64', None,
      ('float64', 'float32'), '_StoreAction'),
     (('--nn-debug',), 'nn_debug', False, None, None, '_StoreTrueAction'),
@@ -41,15 +41,14 @@ CLI_SURFACE = [
     (('--buffer-size',), 'buffer_size', 4, 'int', None, '_StoreAction'),
     (('--concurrency',), 'concurrency', None, 'int', None, '_StoreAction'),
     (('--staleness-policy',), 'staleness_policy', 'polynomial', None,
-     ('constant', 'polynomial', 'hinge'), '_StoreAction'),
+     ('constant', 'polynomial'), '_StoreAction'),
     (('--staleness-alpha',), 'staleness_alpha', 0.5, 'float', None, '_StoreAction'),
-    (('--staleness-hinge',), 'staleness_hinge', 4, 'int', None, '_StoreAction'),
     (('--staleness-budget',), 'staleness_budget', None, 'int', None, '_StoreAction'),
     (('--screen-window',), 'screen_window', 16, 'int', None, '_StoreAction'),
     (('--client-latency',), 'client_latency', 1.0, 'float', None, '_StoreAction'),
     (('--jitter-scale',), 'jitter_scale', 0.0, 'float', None, '_StoreAction'),
     (('--jitter-sigma',), 'jitter_sigma', 0.75, 'float', None, '_StoreAction'),
-    (('--codec',), 'codec', 'none', None, ('none', 'topk', 'qsgd', 'delta'), '_StoreAction'),
+    (('--codec',), 'codec', 'none', None, ('none', 'topk', 'qsgd'), '_StoreAction'),
     (('--topk-fraction',), 'topk_fraction', 0.05, 'float', None, '_StoreAction'),
     (('--qsgd-levels',), 'qsgd_levels', 16, 'int', None, '_StoreAction'),
     (('--population',), 'population', None, 'int', None, '_StoreAction'),
@@ -58,10 +57,8 @@ CLI_SURFACE = [
     (('--state-store',), 'state_store', 'memory', None, ('memory', 'lru'), '_StoreAction'),
     (('--state-cache-size',), 'state_cache_size', 64, 'int', None, '_StoreAction'),
     (('--aggregator',), 'aggregator', 'fedavg', None,
-     ('fedavg', 'median', 'trimmed_mean', 'norm_clip', 'krum', 'multi_krum'),
-     '_StoreAction'),
+     ('fedavg', 'median', 'trimmed_mean', 'krum'), '_StoreAction'),
     (('--trim-fraction',), 'trim_fraction', 0.1, 'float', None, '_StoreAction'),
-    (('--clip-norm',), 'clip_norm', None, 'float', None, '_StoreAction'),
     (('--krum-byzantine',), 'krum_byzantine', None, 'int', None, '_StoreAction'),
     (('--screen-updates',), 'screen_updates', False, None, None, '_StoreTrueAction'),
     (('--byzantine-clients',), 'byzantine_clients', None, None, None, '_StoreAction'),
@@ -107,7 +104,6 @@ DEFAULT_CONFIG = {
     "concurrency": None,
     "staleness_policy": "polynomial",
     "staleness_alpha": 0.5,
-    "staleness_hinge": 4,
     "staleness_budget": None,
     "screen_window": 16,
     "client_latency": 1.0,
@@ -115,13 +111,11 @@ DEFAULT_CONFIG = {
     "topk_fraction": 0.05,
     "qsgd_levels": 16,
     "codec_seed": 0,
-    "nn_backend": "numpy",
     "compute_dtype": "float64",
     "nn_debug": False,
     "profile_ops": False,
     "aggregator": "fedavg",
     "trim_fraction": 0.1,
-    "clip_norm": None,
     "krum_byzantine": None,
     "gate_aggregate": False,
     "gate_norm_multiplier": 10.0,
@@ -181,6 +175,14 @@ class TestParser:
     def test_no_flags_build_the_default_config(self):
         assert _config_fields(["table1"]) == DEFAULT_CONFIG
         assert asdict(ExecutionConfig()) == DEFAULT_CONFIG
+
+
+class TestSetExecutionConfig:
+    def test_default_config_restores_the_float64_policy(self):
+        set_execution_config(ExecutionConfig(compute_dtype="float32"))
+        assert active_compute_dtype() == "float32"
+        set_execution_config(ExecutionConfig())
+        assert active_compute_dtype() == "float64"
 
 
 class TestCIConfigs:

@@ -146,10 +146,6 @@ class TestStalenessWeight:
     def test_polynomial_decay_value(self):
         assert staleness_weight(3, "polynomial", alpha=0.5) == pytest.approx(0.5)
 
-    def test_hinge_grace_window(self):
-        assert staleness_weight(4, "hinge", hinge=4) == 1.0
-        assert staleness_weight(5, "hinge", hinge=4) < 1.0
-
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):
             staleness_weight(-1)

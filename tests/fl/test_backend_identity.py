@@ -1,21 +1,21 @@
-"""Backend/dtype selection across the federated stack.
+"""Compute-dtype selection across the federated stack.
 
-Pins the refactor's headline guarantees at the system level:
+Pins the headline guarantees at the system level:
 
 * **Pinned digest** — a fixed-seed 2-round FedAvg+CIP simulation under the
-  default numpy/float64 configuration produces the byte-identical final
-  global ``state_dict`` it produced before the backend layer existed.  If
-  this digest moves, the "default backend is bitwise-identical" contract
-  is broken (or the model/data/seed derivations changed — regenerate only
-  after ruling that out).
-* **Executor equivalence** — sequential and process-pool execution stay
-  bit-identical to each other under *both* backends: the worker-pool
-  initializer activates the coordinator's backend/dtype before unpickling
-  clients.
-* **Checkpoint compatibility** — checkpoints record the backend/dtype that
-  wrote them; restoring under any other configuration fails loudly, a
-  matched restore stays bit-identical, and pre-backend checkpoints (no
-  metadata) load under the default configuration.
+  default float64 policy produces the byte-identical final global
+  ``state_dict`` it produced before the kernels moved into
+  ``repro.nn.backend``.  If this digest moves, the "NumPy kernels are
+  bitwise-identical" contract is broken (or the model/data/seed
+  derivations changed — regenerate only after ruling that out).
+* **Executor equivalence** — sequential, process-pool and batched
+  execution stay bit-identical to each other: the worker-pool initializer
+  activates the coordinator's dtype policy before unpickling clients.
+* **Checkpoint compatibility** — checkpoints record the compute dtype that
+  wrote them; restoring under another dtype, or a payload an nn backend
+  other than ``numpy`` wrote, fails loudly, a matched restore stays
+  bit-identical, and checkpoints without that metadata load under the
+  default configuration.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ from repro.fl.executor import ParallelExecutor, SequentialExecutor
 from repro.fl.registry import ClientRegistry, LRUStateStore
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.backend import use_backend
+from repro.nn.backend import use_compute_dtype
 from repro.nn.models import build_model
 from repro.utils.rng import derive_rng
 
 #: Final-global-state digest of the reference simulation below, computed on
-#: the pre-backend tree.  The numpy/float64 configuration must reproduce it
-#: byte for byte.
+#: the tree before the kernel module existed.  The float64 policy must
+#: reproduce it byte for byte.
 PINNED_DIGEST = "20467a59840fdafe72fa3bdaaaa4005994cc983e212096645c74aa5654df7676"
 
 _SPEC = ImageSpec(num_classes=3, channels=1, height=8, width=8, noise_scale=0.1)
@@ -97,7 +97,7 @@ def _run_reference_simulation(executor=None, seed=1234):
 
 class TestPinnedDigest:
     def test_default_backend_reproduces_the_pre_refactor_digest(self):
-        with use_backend("numpy", compute_dtype="float64"):
+        with use_compute_dtype("float64"):
             state = _run_reference_simulation()
         assert _state_dict_digest(state) == PINNED_DIGEST
 
@@ -106,7 +106,7 @@ class TestPinnedDigest:
         # lower (Step I runs the model in eval mode), so the batched
         # executor routes these CIP clients through its per-client fallback
         # and must still land on the pinned bytes.
-        with use_backend("numpy", compute_dtype="float64"):
+        with use_compute_dtype("float64"):
             state = _run_reference_simulation(BatchedExecutor())
         assert _state_dict_digest(state) == PINNED_DIGEST
 
@@ -141,23 +141,20 @@ def _run_plain_conv_federation(executor=None, seed=4321):
 
 
 class TestExecutorEquivalenceUnderBackends:
-    @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
-    def test_sequential_matches_process_bitwise(self, backend):
-        with use_backend(backend):
-            seq_state = _run_reference_simulation(SequentialExecutor())
-            par_state = _run_reference_simulation(ParallelExecutor(num_workers=2))
+    def test_sequential_matches_process_bitwise(self):
+        seq_state = _run_reference_simulation(SequentialExecutor())
+        par_state = _run_reference_simulation(ParallelExecutor(num_workers=2))
         assert seq_state.keys() == par_state.keys()
         for key in seq_state:
             assert seq_state[key].dtype == par_state[key].dtype, key
             assert np.array_equal(seq_state[key], par_state[key]), key
 
-    @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_sequential_matches_batched_bitwise(self, backend, dtype):
+    def test_sequential_matches_batched_bitwise(self, dtype):
         # Unlike the CIP reference run (which exercises the fallback), this
         # federation actually stacks: identical architectures and
         # hyperparameters across all three clients.
-        with use_backend(backend, compute_dtype=dtype):
+        with use_compute_dtype(dtype):
             seq_state, seq_losses = _run_plain_conv_federation(
                 SequentialExecutor()
             )
@@ -169,9 +166,9 @@ class TestExecutorEquivalenceUnderBackends:
             assert np.array_equal(seq_state[key], bat_state[key]), key
 
     def test_float32_run_tracks_float64_closely(self):
-        with use_backend("numpy", compute_dtype="float64"):
+        with use_compute_dtype("float64"):
             reference = _run_reference_simulation()
-        with use_backend("accelerated", compute_dtype="float32"):
+        with use_compute_dtype("float32"):
             fast = _run_reference_simulation()
         for key in reference:
             assert fast[key].dtype == np.float32, key
@@ -266,12 +263,11 @@ class TestStackedCIP:
         }
         return server.global_state(), history.train_losses, states
 
-    @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("cip", _CIP_SWEEP.values(), ids=_CIP_SWEEP.keys())
-    def test_batched_matches_sequential_bitwise(self, backend, dtype, cip):
+    def test_batched_matches_sequential_bitwise(self, dtype, cip):
         batched = _RecordingBatchedExecutor()
-        with use_backend(backend, compute_dtype=dtype):
+        with use_compute_dtype(dtype):
             seq_state, seq_losses, seq_clients = self._run_live(SequentialExecutor(), cip)
             bat_state, bat_losses, bat_clients = self._run_live(batched, cip)
         assert batched.stacked == [[0, 1, 2]] * 2
@@ -301,14 +297,11 @@ class TestStackedCIP:
         registry.close()
         return server.global_state(), history.train_losses, states
 
-    @pytest.mark.parametrize("backend", ["numpy", "accelerated"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_virtual_topk_cohort_matches_sequential_bitwise(
-        self, backend, dtype, tmp_path
-    ):
+    def test_virtual_topk_cohort_matches_sequential_bitwise(self, dtype, tmp_path):
         codec = {"codec": "topk", "topk_fraction": 0.1}
         batched = _RecordingBatchedExecutor(**codec)
-        with use_backend(backend, compute_dtype=dtype):
+        with use_compute_dtype(dtype):
             seq = self._run_cohort(
                 SequentialExecutor(**codec), tmp_path / "sequential"
             )
@@ -339,22 +332,37 @@ def _build_checkpointed_sim(dataset, directory, every=1):
     )
 
 
+def _rewrite_latest(directory, **changes):
+    """Edit the newest checkpoint's payload by hand (``None`` drops a key).
+
+    The file is rewritten headerless, exactly as pre-digest builds wrote it.
+    """
+    path = latest_checkpoint(directory)
+    payload = load_checkpoint(path)
+    for key, value in changes.items():
+        if value is None:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
+    with open(path, "wb") as handle:
+        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class TestCheckpointBackendCompatibility:
+    @pytest.mark.parametrize(
+        "changes",
+        [{"nn_backend": "accelerated"}, {"compute_dtype": "float32"}],
+        ids=["accelerated-backend", "float32-payload"],
+    )
     def test_mismatched_backend_or_dtype_refuses_restore(
-        self, tiny_vector_dataset, tmp_path
+        self, tiny_vector_dataset, tmp_path, changes
     ):
         directory = str(tmp_path / "ckpt")
         _build_checkpointed_sim(tiny_vector_dataset, directory).run(2)
-
-        for backend, dtype in [
-            ("accelerated", "float64"),
-            ("numpy", "float32"),
-            ("accelerated", "float32"),
-        ]:
-            fresh = _build_checkpointed_sim(tiny_vector_dataset, directory)
-            with use_backend(backend, compute_dtype=dtype):
-                with pytest.raises(ValueError, match="incompatible checkpoint"):
-                    fresh.resume(3)
+        _rewrite_latest(directory, **changes)
+        fresh = _build_checkpointed_sim(tiny_vector_dataset, directory)
+        with pytest.raises(ValueError, match="incompatible checkpoint"):
+            fresh.resume(3)
 
     def test_matched_restore_is_bit_identical(self, tiny_vector_dataset, tmp_path):
         reference = _build_checkpointed_sim(tiny_vector_dataset, str(tmp_path / "a"))
@@ -373,8 +381,8 @@ class TestCheckpointBackendCompatibility:
     def test_non_default_configuration_round_trips(
         self, tiny_vector_dataset, tmp_path
     ):
-        directory = str(tmp_path / "accel")
-        with use_backend("accelerated", compute_dtype="float32"):
+        directory = str(tmp_path / "float32")
+        with use_compute_dtype("float32"):
             _build_checkpointed_sim(tiny_vector_dataset, directory).run(2)
             resumed = _build_checkpointed_sim(tiny_vector_dataset, directory)
             resumed.resume(3)
@@ -384,27 +392,30 @@ class TestCheckpointBackendCompatibility:
         self, tiny_vector_dataset, tmp_path
     ):
         directory = str(tmp_path / "meta")
-        with use_backend("accelerated", compute_dtype="float32"):
+        with use_compute_dtype("float32"):
             sim = _build_checkpointed_sim(tiny_vector_dataset, directory)
             sim.run(1)
         payload = load_checkpoint(latest_checkpoint(directory))
-        assert payload["nn_backend"] == "accelerated"
         assert payload["compute_dtype"] == "float32"
 
     def test_pre_backend_checkpoint_loads_under_defaults(
         self, tiny_vector_dataset, tmp_path
     ):
-        # Checkpoints written before the backend layer carry no metadata;
-        # they were all produced by the numpy/float64 reference path.
+        # A payload that names neither an nn backend nor a compute dtype was
+        # written by the numpy/float64 reference path.
         directory = str(tmp_path / "legacy")
-        sim = _build_checkpointed_sim(tiny_vector_dataset, directory)
-        sim.run(2)
-        path = latest_checkpoint(directory)
-        payload = load_checkpoint(path)
-        del payload["nn_backend"], payload["compute_dtype"]
-        # Rewritten headerless, exactly as pre-digest builds wrote it.
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        _build_checkpointed_sim(tiny_vector_dataset, directory).run(2)
+        _rewrite_latest(directory, nn_backend=None, compute_dtype=None)
+
+        resumed = _build_checkpointed_sim(tiny_vector_dataset, directory)
+        resumed.resume(3)
+        assert resumed.server.round == 3
+
+    def test_numpy_backend_payload_loads(self, tiny_vector_dataset, tmp_path):
+        # Earlier builds wrote the backend's name; "numpy" is still ours.
+        directory = str(tmp_path / "numpy")
+        _build_checkpointed_sim(tiny_vector_dataset, directory).run(2)
+        _rewrite_latest(directory, nn_backend="numpy")
 
         resumed = _build_checkpointed_sim(tiny_vector_dataset, directory)
         resumed.resume(3)

@@ -1,13 +1,12 @@
 """Batched round execution: grouping rules, fallbacks, and lifecycle.
 
 :mod:`tests.fl.test_backend_identity` pins the headline bitwise guarantee
-(batched == sequential per backend × dtype for plain and CIP clients, and
-the pinned digest under the BatchNorm-CIP fallback).  This module covers
-the executor mechanics around it: which
-clients stack together and which fall back, that mixed cohorts and the
-tampering-broadcast slow path stay bit-identical, that communication
-accounting matches the sequential engine, and that the executor owns the
-workspace-freelist lifetime.
+(batched == sequential per dtype for plain and CIP clients, and the pinned
+digest under the BatchNorm-CIP fallback).  This module covers the executor
+mechanics around it: which clients stack together and which fall back,
+that mixed cohorts and the tampering-broadcast slow path stay
+bit-identical, and that communication accounting matches the sequential
+engine.
 """
 
 from __future__ import annotations
@@ -23,8 +22,17 @@ from repro.fl.client import ClientConfig, FLClient
 from repro.fl.executor import SequentialExecutor, make_executor
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.backend import get_backend, use_backend
-from repro.nn.layers import Linear, Module
+from repro.nn.layers import (
+    BatchNorm1d,
+    Dropout,
+    Flatten,
+    Identity,
+    Linear,
+    Module,
+    Sequential,
+    Sigmoid,
+    Tanh,
+)
 from repro.nn.models import build_model
 from repro.nn.optim import Adam
 from repro.utils.rng import derive_rng
@@ -218,6 +226,17 @@ class TestGrouping:
         with pytest.raises(_NotBatchable):
             compile_stacked_plan(_OpaqueModule())
 
+    @pytest.mark.parametrize(
+        "layer",
+        [BatchNorm1d(4), Tanh(), Sigmoid(), Flatten(), Identity(), Dropout(0.0)],
+        ids=["bn1d", "tanh", "sigmoid", "flatten", "identity", "dropout"],
+    )
+    def test_layers_without_a_stacked_step_fall_back(self, layer):
+        # No model the experiments build uses these layers; a model that
+        # does trains on the per-client path.
+        with pytest.raises(_NotBatchable):
+            compile_stacked_plan(Sequential(Linear(4, 4, seed=0), layer))
+
 
 class TestEquivalence:
     def test_mlp_federation_matches_sequential(self, tiny_vector_dataset):
@@ -300,29 +319,3 @@ class TestLifecycle:
         assert ExecutionConfig(backend="batched").backend == "batched"
         with pytest.raises(ValueError):
             ExecutionConfig(backend="stacked")
-
-    def test_close_releases_the_workspace_freelist(self, tiny_image_dataset):
-        def conv_factory():
-            return build_model(
-                "vgg", 4, in_channels=1, stage_channels=(4,),
-                convs_per_stage=1, seed=0,
-            )
-
-        with use_backend("accelerated"):
-            shards = partition_iid(tiny_image_dataset, 2, seed=0)
-            server = FLServer(conv_factory)
-            clients = [
-                FLClient(
-                    i, shards[i], conv_factory, config=ClientConfig(lr=0.05),
-                    seed=derive_rng(7, "ws", i),
-                )
-                for i in range(2)
-            ]
-            executor = BatchedExecutor()
-            sim = FederatedSimulation(server, clients, executor=executor)
-            sim.run(1)
-            # Buffers persist across rounds for reuse...
-            assert get_backend().workspace_stats().resident_bytes > 0
-            # ...until the executor releases them.
-            sim.close()
-            assert get_backend().workspace_stats() == (0, 0, 0, 0)

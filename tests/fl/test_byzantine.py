@@ -117,8 +117,6 @@ class TestEndToEndDefense:
             ("median", None),
             ("trimmed_mean", {"trim_fraction": 0.2}),
             ("krum", None),
-            ("multi_krum", {"num_byzantine": 2}),
-            ("norm_clip", None),
         ],
     )
     def test_robust_aggregators_survive_attack(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pickle
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from repro.fl import communication
 from repro.fl.communication import (
     WIRE_FORMAT_VERSION,
     WIRE_MAGIC,
-    DeltaCodec,
     NoneCodec,
     QSGDCodec,
     TopKCodec,
@@ -48,7 +48,7 @@ from repro.fl.communication import (
 from repro.fl.executor import ParallelExecutor, SequentialExecutor, make_executor
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.backend import use_backend
+from repro.nn.backend import use_compute_dtype
 from repro.nn.models import build_model
 from repro.nn.serialization import pack_state_dict, state_dict_nbytes
 from repro.utils.rng import derive_rng
@@ -180,25 +180,27 @@ class TestPayloadRoundTrip:
         scale = float(np.max(np.abs(state["w"])))
         assert np.max(np.abs(decoded["w"] - state["w"])) <= scale / levels + 1e-12
 
-    def test_delta_codec_round_trips_within_float32(self):
+    def test_retired_delta_frames_are_refused(self):
+        # Earlier builds had a float32 "delta" codec: codec id 3, leaf
+        # scheme 3.  Both ids now fail the decoder's unknown-id checks.
         rng = np.random.default_rng(3)
         state = {"w": rng.normal(size=(8, 8))}
         reference = {"w": rng.normal(size=(8, 8))}
-        payload, residual = DeltaCodec().encode_update(
-            0, 0, state, reference=reference
-        )
-        assert residual is None
-        decoded = decode_update(payload, reference=reference)
-        np.testing.assert_allclose(decoded["w"], state["w"], atol=1e-6)
+        blob = zlib.compress((state["w"] - reference["w"]).astype(np.float32).tobytes())
+        frames = [communication._frame_leaf("w", state["w"], 3, blob)]
+        with pytest.raises(WireFormatError, match="unknown codec id"):
+            decode_update(communication._pack_frames(3, frames), reference=reference)
+        with pytest.raises(WireFormatError, match="unknown encoding scheme"):
+            decode_update(communication._pack_frames(1, frames), reference=reference)
 
     def test_make_codec_registry(self):
         assert make_codec(None) is None
         assert make_codec("none") is None
         assert make_codec("topk", topk_fraction=0.2).fraction == 0.2
         assert make_codec("qsgd", qsgd_levels=8).levels == 8
-        assert make_codec("delta").name == "delta"
-        with pytest.raises(ValueError, match="unknown codec"):
-            make_codec("gzip")
+        for retired in ("gzip", "delta"):
+            with pytest.raises(ValueError, match="unknown codec"):
+                make_codec(retired)
         assert codec_name(None) == "none"
         assert codec_name(make_codec("topk")) == "topk"
 
@@ -358,12 +360,12 @@ class TestBackendIdentity:
     def test_sync_backends_reproduce_pinned_digest_under_none_codec(
         self, executor_factory
     ):
-        with use_backend("numpy", compute_dtype="float64"):
+        with use_compute_dtype("float64"):
             state = _run_reference_simulation(executor_factory())
         assert _state_dict_digest(state) == PINNED_DIGEST
 
     def test_async_none_codec_matches_async_without_codec(self):
-        with use_backend("numpy", compute_dtype="float64"):
+        with use_compute_dtype("float64"):
             plain_state, plain_losses = _run_plain_conv_federation(
                 AsyncExecutor(buffer_size=3)
             )

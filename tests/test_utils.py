@@ -1,13 +1,11 @@
-"""Utility modules: RNG derivation, logging, timer."""
+"""Utility modules: RNG derivation, logging."""
 
 import logging
 
 import numpy as np
-import pytest
 
 from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.rng import as_generator, derive_rng, spawn_rngs
-from repro.utils.timer import Timer
 
 
 class TestRng:
@@ -54,26 +52,3 @@ class TestLogging:
         root = logging.getLogger("repro")
         console = [h for h in root.handlers if getattr(h, "_repro_console", False)]
         assert len(console) == 1
-
-
-class TestTimer:
-    def test_sections_accumulate(self):
-        timer = Timer()
-        with timer.section("work"):
-            pass
-        with timer.section("work"):
-            pass
-        assert timer.count("work") == 2
-        assert timer.total("work") >= 0.0
-        assert timer.mean("work") == pytest.approx(timer.total("work") / 2)
-
-    def test_unknown_section(self):
-        timer = Timer()
-        assert timer.total("nope") == 0.0
-        assert timer.mean("nope") == 0.0
-
-    def test_summary(self):
-        timer = Timer()
-        with timer.section("a"):
-            pass
-        assert "a" in timer.summary()
