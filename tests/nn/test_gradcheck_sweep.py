@@ -19,21 +19,48 @@ import pytest
 from repro.nn import functional as F
 from repro.nn import tensor as T
 from repro.nn.backend import available_dtype_policies, use_compute_dtype
-from repro.nn.diagnostics import gradcheck
+from repro.nn.diagnostics import (
+    debug_mode,
+    get_op_stats,
+    gradcheck,
+    op_stats_delta,
+    profile_ops,
+)
 from repro.nn.tensor import Tensor
 
 
-@pytest.fixture(params=available_dtype_policies(), ids=lambda dtype: f"numpy-{dtype}")
-def dtype_policy(request):
-    """Activate every dtype policy for the sweep (ids name the NumPy kernels).
+#: The two routes every op is checked along.  ``numpy`` runs the ops as
+#: training does.  ``accelerated`` runs them with the op profiler and the
+#: invariant guards on, which wrap every op call, every backward closure
+#: and every gradient accumulation.  (That leg's id predates the fold of
+#: the accelerated backend into the NumPy kernels; it is kept so the
+#: sweep's test ids stay stable.)
+ROUTES = ("numpy", "accelerated")
+
+
+@pytest.fixture(
+    params=[
+        (route, dtype) for route in ROUTES for dtype in available_dtype_policies()
+    ],
+    ids=lambda param: f"{param[0]}-{param[1]}",
+)
+def route_policy(request):
+    """Activate every route × dtype-policy combination for the sweep.
 
     Under the float32 policy the leaves built by ``_check`` are cast to
     float32 at construction, so the analytic pass genuinely runs in
     float32 (gradcheck pins its numerical pass to float64 and widens the
-    tolerances automatically).
+    tolerances automatically).  On the instrumented route the guards also
+    fail the case if any backward accumulates a gradient that is not the
+    shape of its tensor, not floating, or not finite.
     """
-    with use_compute_dtype(request.param):
-        yield request.param
+    route, dtype = request.param
+    with use_compute_dtype(dtype):
+        if route == "numpy":
+            yield route
+            return
+        with debug_mode(), profile_ops():
+            yield route
 
 
 def _stable_seed(name):
@@ -192,8 +219,12 @@ ALL_CASES = (
 @pytest.mark.parametrize(
     "name,fn,shapes,positive", ALL_CASES, ids=[case[0] for case in ALL_CASES]
 )
-def test_gradcheck_sweep(dtype_policy, name, fn, shapes, positive):
+def test_gradcheck_sweep(route_policy, name, fn, shapes, positive):
+    before = get_op_stats()
     _check(fn, shapes, seed=_stable_seed(name), positive=positive, op_name=name)
+    if route_policy == "accelerated":
+        # The profiler's backward wrapper ran, so the route was live.
+        assert any(stat.backward_calls for stat in op_stats_delta(before).values())
 
 
 # A float32 subset: checks both correctness and that the PR-1-fixed
