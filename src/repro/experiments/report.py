@@ -48,6 +48,10 @@ def _shape_section(result: ExperimentResult) -> Optional[str]:
     return "Shape agreement vs the paper:\n\n" + "\n".join(f"* {line}" for line in lines)
 
 
+#: The verdict on a sweep of one point: rank correlation needs two.
+_ONE_POINT = "n/a (a one-point sweep has no shape to compare)"
+
+
 def _sweep_lines(
     result: ExperimentResult,
     value_column: str,
@@ -61,6 +65,7 @@ def _sweep_lines(
             key=lambda r: r[key_column],
         )
         if len(rows) < 2:
+            lines.append(f"{dataset}: {_ONE_POINT}")
             continue
         measured = [r[value_column] for r in rows]
         paper_row = published_by_dataset[dataset]
@@ -84,6 +89,9 @@ def _score_table5(result: ExperimentResult) -> List[str]:
         alphas = sorted(
             float(c.split("_", 1)[1]) for c in row if c.startswith("alpha_") and c != "alpha_0"
         )
+        if len(alphas) < 2:
+            lines.append(f"{dataset}: {_ONE_POINT}")
+            continue
         measured = [row[f"alpha_{a}"] for a in alphas]
         paper_row = ref.TABLE5_ACCURACY[dataset]
         published = [paper_row[min((k for k in paper_row if k > 0), key=lambda k: abs(k - a))] for a in alphas]

@@ -460,27 +460,6 @@ class BatchedExecutor(SequentialExecutor):
 
     name = "batched"
 
-    def prepare(self, clients: Sequence[FLClient]) -> None:
-        # Compiled plans, keyed by client_id: the plan is an architecture
-        # property, stable for the lifetime of a simulation.  Dynamic
-        # grouping fields (lr, momentum, ...) are re-read every round in
-        # ``_batch_key`` so schedule changes still split groups correctly.
-        self._compile_cache: Dict[int, Optional[Tuple[Tuple, List[Step]]]] = {}
-
-    def _compiled(self, client: FLClient) -> Optional[Tuple[Tuple, List[Step]]]:
-        cache = getattr(self, "_compile_cache", None)
-        if cache is None:
-            self.prepare(())
-            cache = self._compile_cache
-        if client.client_id not in cache:
-            try:
-                plan, sig = compile_stacked_plan(client.model)
-            except _NotBatchable:
-                cache[client.client_id] = None
-            else:
-                cache[client.client_id] = (sig, plan)
-        return cache[client.client_id]
-
     def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
         # Retries and faults need the per-(round, client, attempt)
         # interleaving of the sequential engine, so tolerant rounds (any
@@ -532,10 +511,10 @@ class BatchedExecutor(SequentialExecutor):
             return None
         if client.augment is not None:
             return None  # augment callables own RNG streams we must not reorder
-        compiled = self._compiled(client)
-        if compiled is None:
+        try:
+            plan, sig = compile_stacked_plan(client.model)
+        except _NotBatchable:
             return None
-        sig, plan = compiled
         optimizer = client._optimizer
         dataset: Dataset = client.dataset
         key = (
@@ -669,7 +648,10 @@ class BatchedExecutor(SequentialExecutor):
                 slots = []
                 for member_index, client in enumerate(group):
                     param = param_lists[member_index][position][1]
-                    velocity = client._optimizer._velocity.get(id(param))
+                    # The optimizer was built over ``model.parameters()``,
+                    # whose order is ``named_parameters()``'s: its slots are
+                    # keyed by the same positions.
+                    velocity = client._optimizer._velocity.get(position)
                     slots.append(
                         velocity if velocity is not None else np.zeros_like(param.data)
                     )
@@ -683,7 +665,7 @@ class BatchedExecutor(SequentialExecutor):
             for position, (_, param) in enumerate(param_lists[member_index]):
                 param.data = stacked[position].data[member_index]
                 if velocities:
-                    slots[id(param)] = velocities[position][member_index]
+                    slots[position] = velocities[position][member_index]
 
         def forward(x, weights: Params) -> Tensor:
             for step in plan:

@@ -8,14 +8,15 @@ differ only in how they *schedule* clients:
 * :class:`SequentialExecutor` — in participant order, in-process;
 * :class:`~repro.fl.batched.BatchedExecutor` — stacked groups of
   same-architecture clients, every other client in participant order;
-* :class:`ParallelExecutor` — a persistent ``ProcessPoolExecutor`` fed
-  through a sliding submission window.  Worker processes receive each
-  client's full picklable definition (data shard, model, config) **once**
-  at pool start-up; per round only the client's mutable state and a single
-  shared packed broadcast payload cross the process boundary, and the
-  returned state is applied to the authoritative client object — so a
-  parallel round is bit-for-bit identical to a sequential one (each client
-  owns its seeded RNG; no draw order is shared across clients);
+* :class:`ParallelExecutor` — a ``ProcessPoolExecutor`` that starts at
+  the first round and lives until ``close()``.  Its workers are stateless:
+  each task carries its pickled client (pickled at most once per round)
+  and the packed broadcast, and returns the packed update plus the
+  client's mutable state, which the coordinator applies to the
+  authoritative client object — so a parallel round is bit-for-bit
+  identical to a sequential one (each client owns its seeded RNG; no draw
+  order is shared across clients), and live and virtual populations share
+  one pool;
 * :class:`~repro.fl.async_engine.AsyncExecutor` — training at dispatch,
   arrivals from a virtual-clock heap.
 
@@ -32,7 +33,7 @@ tallies the outcomes and :meth:`RoundExecutor._finish_round` enforces the
 quorum.  The process engine resolves injected faults on the coordinator
 with the same policy and ships only training tasks.  An injected
 ``worker_death`` still kills its worker for real there, so the pool
-respawn path runs and the fault stays retriable; in-process it is terminal
+recycle path runs and the fault stays retriable; in-process it is terminal
 like a crash.
 
 **One virtual clock.**  Injected delays never sleep on any engine.
@@ -56,10 +57,12 @@ behaviour:
   completes over the survivors (FedAvg re-weights by ``num_samples``) and
   the dropped clients land in :class:`RoundExecution.failures` instead of
   aborting the simulation;
-* **pool respawn** — a worker-process death (OOM kill, segfault, injected
-  ``worker_death``) terminates the pool; the executor respawns it up to
-  ``max_pool_respawns`` times per round and re-runs *only* the clients whose
-  results were lost.
+* **pool recycling** — a worker-process death (OOM kill, segfault,
+  injected ``worker_death``) breaks the pool, and a task that really stalls
+  past ``client_timeout`` occupies its worker; either recycles the pool.
+  The straggler, or the ``worker_death`` task, is charged a failed attempt;
+  every other running task re-runs uncharged.  A broken pool spends one of
+  ``max_pool_respawns`` per round.
 
 Failure paths are testable on demand via a seeded
 :class:`~repro.fl.faults.FaultInjector`.
@@ -73,13 +76,13 @@ engine never reads (``buffer_size`` on the sequential engine, say) raises
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from time import monotonic
@@ -750,16 +753,6 @@ class RoundExecutor(ABC):
         if self.registry is not None and self.registry.is_virtual:
             self.registry.release(client)
 
-    def prepare(self, clients: Sequence[FLClient]) -> None:
-        """Register the full client population before the first round.
-
-        Called once by :class:`~repro.fl.simulation.FederatedSimulation`
-        for live-object populations; lets pooled executors ship the heavy
-        immutable client definitions to workers a single time instead of
-        every round.  Virtual registries call it per round with the
-        materialized cohort instead.
-        """
-
     @abstractmethod
     def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
         """Run ``local_update`` for every participant, in participant order.
@@ -847,19 +840,27 @@ class SequentialExecutor(RoundExecutor):
 # ----------------------------------------------------------------------
 # Worker-process side of the parallel engine
 # ----------------------------------------------------------------------
-# Populated once per worker by the pool initializer; workers are persistent
-# across rounds, so the heavy client definitions cross the process boundary
-# exactly once per pool lifetime.
-_WORKER_CLIENTS: Dict[int, FLClient] = {}
+#: glibc ``mallopt`` parameters (``<malloc.h>``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-def _worker_init(payload: bytes, compute_dtype: str) -> None:
-    global _WORKER_CLIENTS
-    # Activate the coordinator's dtype policy BEFORE unpickling: client
-    # state (parameters, buffers) must materialize under the same policy
-    # the coordinator trained it with.
-    set_compute_dtype(compute_dtype)
-    _WORKER_CLIENTS = pickle.loads(payload)
+def _worker_init() -> None:
+    """Keep a worker's freed heap for its next task (glibc; else a no-op).
+
+    Each task unpickles its client and frees it again.  Under glibc's
+    adaptive thresholds the freed top of the heap then went back to the OS
+    after a task, and the next task's array temporaries faulted fresh
+    pages in: about 10k minor faults and 25 ms of system time per
+    ``cip_silo`` client update on 2 vCPUs.  Fixed thresholds keep that
+    memory.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 @dataclass
@@ -872,22 +873,21 @@ class _WorkerResult:
 
 
 def _worker_run_client(
-    client_id: int,
-    mutable_state: ClientMutableState,
+    client_payload: bytes,
     broadcast_payload: bytes,
+    compute_dtype: str,
     kill: bool = False,
 ) -> _WorkerResult:
+    """Train one pickled client on one broadcast; the worker keeps nothing."""
     if kill:
         # An injected worker death.  A real one (OOM kill, segfault) gives
         # the runtime no chance to clean up; os._exit reproduces that.  It
         # fires before any state is touched, so the retry is bit-identical.
         os._exit(13)
-    client = _WORKER_CLIENTS.get(client_id)
-    if client is None:
-        raise RuntimeError(
-            f"worker holds no definition for client {client_id}; pool out of sync"
-        )
-    client.set_mutable_state(mutable_state)
+    # The coordinator's dtype policy goes first: the client's parameters
+    # and buffers materialize and train under the policy it trained with.
+    set_compute_dtype(compute_dtype)
+    client = pickle.loads(client_payload)
     client.receive_global(unpack_state_dict(broadcast_payload))
     with Stopwatch() as watch:
         update = client.local_update()
@@ -901,7 +901,7 @@ def _worker_run_client(
 
 
 class ParallelExecutor(RoundExecutor):
-    """Process-pool round engine with a persistent worker population.
+    """Process-pool round engine: each task carries its client.
 
     Reads three knobs of its :class:`~repro.core.config.EngineConfig` that
     no other engine does: ``num_workers`` (``None`` resolves to
@@ -909,10 +909,12 @@ class ParallelExecutor(RoundExecutor):
     whole round, on whose expiry the pool is terminated and
     :class:`RoundExecutionError` raised instead of hanging the simulation;
     and ``max_pool_respawns``, the respawn budget per round when the worker
-    pool dies (the clients whose results were lost re-run on the fresh
-    pool, completed clients do not).  ``client_timeout`` is also a real
-    wall-clock budget per task here: a worker that stalls past it is
-    abandoned as a straggler and the pool is recycled after the wave.
+    pool dies.  ``client_timeout`` is also a real wall-clock budget per
+    task here, timed from the task's own submission.
+
+    The pool starts at the first round and lives until :meth:`close`.  A
+    broken pool, or a task stalled past ``client_timeout``, recycles it
+    (:meth:`execute`).
     """
 
     name = "process"
@@ -922,40 +924,14 @@ class ParallelExecutor(RoundExecutor):
         self.num_workers = self.config.num_workers or os.cpu_count() or 1
         self.round_timeout = self.config.round_timeout
         self.max_pool_respawns = self.config.max_pool_respawns
-        self._clients: Dict[int, FLClient] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- pool lifecycle -------------------------------------------------
-    def prepare(self, clients: Sequence[FLClient]) -> None:
-        fresh = {client.client_id: client for client in clients}
-        if len(fresh) != len(clients):
-            raise ValueError("client ids must be unique")
-        if fresh.keys() != self._clients.keys() or any(
-            fresh[cid] is not self._clients[cid] for cid in fresh
-        ):
-            self._terminate_pool()
-            self._clients = fresh
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            try:
-                payload = pickle.dumps(self._clients, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                raise RoundExecutionError(
-                    "clients are not picklable and cannot be shipped to worker "
-                    "processes (closures in augment pipelines are a common "
-                    f"cause); use the sequential backend instead: {exc!r}"
-                ) from exc
-            _log.info(
-                "starting %d worker processes (%d clients, %.1f MB payload)",
-                self.num_workers,
-                len(self._clients),
-                len(payload) / 1e6,
-            )
+            _log.info("starting %d worker processes", self.num_workers)
             self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers,
-                initializer=_worker_init,
-                initargs=(payload, active_compute_dtype()),
+                max_workers=self.num_workers, initializer=_worker_init
             )
         return self._pool
 
@@ -1008,15 +984,29 @@ class ParallelExecutor(RoundExecutor):
         ]
         return payloads, sum(len(payload) for payload in payloads)
 
-    def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
-        if not self._clients:
-            self.prepare(participants)
-        unknown = [c.client_id for c in participants if c.client_id not in self._clients]
-        if unknown:
+    @staticmethod
+    def _pickle_client(client: FLClient) -> bytes:
+        try:
+            return pickle.dumps(client, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
             raise RoundExecutionError(
-                f"participants {unknown} were not registered via prepare(); "
-                "the worker pool only holds the population it was built with"
-            )
+                f"client {client.client_id} is not picklable and cannot be shipped "
+                "to a worker process (closures in augment pipelines are a common "
+                f"cause); use the sequential backend instead: {exc!r}"
+            ) from exc
+
+    def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
+        """Run the round on the pool, at most ``num_workers`` tasks at once.
+
+        One loop waits for the first running task to finish.  Two events
+        recycle the pool: a task stalled past ``client_timeout`` and a
+        broken pool.  Recycling kills the pool, charges the straggler (or
+        the ``worker_death`` task) a failed attempt and requeues every other
+        running task uncharged; only a broken pool spends
+        ``max_pool_respawns``.  Without fault tolerance a failed task stops
+        all submissions, and once the running tasks drain the round raises
+        for the earliest participant that failed.
+        """
         key = server.round
         tolerant = self._tolerant
         reference = self._byzantine_reference(server)
@@ -1026,18 +1016,25 @@ class ParallelExecutor(RoundExecutor):
         payloads, bytes_broadcast = self._broadcast_payloads(participants, server)
         payload_by_id = dict(zip(by_id, payloads))
         outcomes = {cid: ClientOutcome(cid) for cid in by_id}
+        # A coordinator-side client changes only when its result is
+        # applied, so it is pickled at most once and a retry ships the same
+        # bytes.
+        pickled: Dict[int, bytes] = {}
+        compute_dtype = active_compute_dtype()
         # The worker's packed update doubles as its wire payload unless a
         # Byzantine attack detached the update from those bytes; without
         # wire faults only their size is billed.
         reuse_payload = self.byzantine is None or not self._wire_faults
         deadline = None if self.round_timeout is None else monotonic() + self.round_timeout
-        # Clients still owed a result: the attempt to resume from, and the
-        # verdict on that attempt if it failed for real (``None``: decide
-        # afresh).  A client whose result was lost with the pool keeps its
-        # attempt number, and hence its fault schedule.
-        pending: Dict[int, Tuple[int, Optional[AttemptStep]]] = {
-            cid: (0, None) for cid in by_id
-        }
+        # Clients owed a result: the attempt to resume from, and the verdict
+        # on that attempt if it failed for real (``None``: its injected
+        # fault decides).  A requeued client keeps its attempt number, and
+        # hence its fault schedule.
+        queue = deque((cid, 0, None) for cid in by_id)
+        # future -> (client id, attempt, kills its worker, submit time), in
+        # submission order.
+        running: Dict[Future, Tuple[int, int, bool, float]] = {}
+        fatal: Dict[int, BaseException] = {}
         respawns_left = self.max_pool_respawns
 
         def requeue(cid: int, attempt: int, kind: str = "", message: str = "") -> None:
@@ -1047,101 +1044,88 @@ class ParallelExecutor(RoundExecutor):
             if kind:
                 outcomes[cid].message = message
                 verdict = retry_step(kind, attempt, self.max_retries, self.backoff)
-            pending[cid] = (attempt, verdict)
+            queue.append((cid, attempt, verdict))
 
-        while pending:
+        def recycle(straggler: Optional[Future] = None) -> None:
+            self._terminate_pool()
+            for future, (cid, attempt, kill, _) in running.items():
+                if future is straggler:
+                    requeue(
+                        cid,
+                        attempt,
+                        "straggler",
+                        f"no result within client_timeout={self.client_timeout:.1f}s",
+                    )
+                elif kill and straggler is None:
+                    requeue(cid, attempt, "worker_death", "its worker process died")
+                else:
+                    requeue(cid, attempt)
+            running.clear()
+
+        while running or (queue and not fatal):
+            broken = False
             # Injected faults resolve here, on the coordinator: only
             # attempts that train are shipped.
-            tasks = deque()
-            for cid, (attempt, step) in list(pending.items()):
+            while queue and not fatal and len(running) < self.num_workers:
+                cid, attempt, step = queue.popleft()
                 attempt, step = self._next_attempt(key, cid, attempt, outcomes[cid], step)
-                if step.action == "train":
-                    tasks.append((cid, attempt, step.kind == "worker_death"))
-            pending.clear()
-            window = deque()  # ((cid, attempt, kill), future, submit time)
-            stuck = 0
-            broken = False
-            while tasks or window:
-                # At most one task per unstuck worker is outstanding, so
-                # each starts (essentially) on submission and its
-                # client_timeout runs from its *own* submit time: a client
-                # queued behind a genuinely stalled one is never timed out
-                # without having run.
-                while tasks and not broken and len(window) < self.num_workers - stuck:
-                    cid, attempt, kill = tasks[0]
-                    try:
-                        future = self._ensure_pool().submit(
-                            _worker_run_client,
-                            cid,
-                            by_id[cid].get_mutable_state(),
-                            payload_by_id[cid],
-                            kill,
-                        )
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    window.append((tasks.popleft(), future, monotonic()))
-                if not window:
-                    break  # the pool broke, or stalled workers fill it
-                (cid, attempt, kill), future, submitted = window.popleft()
+                if step.action != "train":
+                    continue
+                if cid not in pickled:
+                    pickled[cid] = self._pickle_client(by_id[cid])
+                kill = step.kind == "worker_death"
+                try:
+                    future = self._ensure_pool().submit(
+                        _worker_run_client,
+                        pickled[cid],
+                        payload_by_id[cid],
+                        compute_dtype,
+                        kill,
+                    )
+                except BrokenProcessPool:
+                    # The pool died since the last wait; this task never ran.
+                    queue.appendleft((cid, attempt, None))
+                    broken = True
+                    break
+                running[future] = (cid, attempt, kill, monotonic())
+            if running and not broken:
+                oldest = next(iter(running))
                 budget = deadline
                 if self.client_timeout is not None:
-                    budget = min(budget or math.inf, submitted + self.client_timeout)
-                try:
-                    if broken and not future.done():
-                        # The pool died earlier this wave: whatever had not
-                        # finished was lost with the workers.
-                        raise BrokenProcessPool("lost with the pool")
-                    result = future.result(
-                        timeout=None
-                        if broken or budget is None
-                        else max(budget - monotonic(), 0.001)
-                    )
-                except FutureTimeoutError:
+                    stalls_at = running[oldest][3] + self.client_timeout
+                    budget = min(budget or math.inf, stalls_at)
+                done, _ = wait(
+                    running,
+                    timeout=None if budget is None else max(budget - monotonic(), 0.0),
+                    return_when=FIRST_COMPLETED,
+                )
+                if not done:
                     if deadline is not None and monotonic() >= deadline:
                         self._terminate_pool()
                         raise RoundExecutionError(
                             f"round timed out after {self.round_timeout:.1f}s waiting "
-                            f"for client {cid}; worker pool terminated"
-                        ) from None
-                    # Past client_timeout.  A task that never started
-                    # cancels and re-runs uncharged; one that did really
-                    # stalled its worker, so the window shrinks and the
-                    # pool is recycled after this wave (without charging
-                    # the respawn budget: the pool is healthy, just busy).
-                    if future.cancel():
-                        requeue(cid, attempt)
-                    else:
-                        stuck += 1
-                        requeue(
-                            cid,
-                            attempt,
-                            "straggler",
-                            f"no result within client_timeout={self.client_timeout:.1f}s",
+                            f"for client {running[oldest][0]}; worker pool terminated"
                         )
-                except BrokenProcessPool as exc:
-                    broken = True
-                    if not tolerant:
-                        self._terminate_pool()
-                        raise RoundExecutionError(
-                            f"worker process died while training client {cid} "
-                            "(out-of-memory or hard crash); pool terminated"
-                        ) from exc
-                    # The task that killed its worker is charged; a
-                    # bystander's result was merely lost with the pool.
-                    requeue(cid, attempt, "worker_death" if kill else "", repr(exc))
-                except Exception as exc:
-                    if not tolerant:
-                        self._terminate_pool()
-                        raise RoundExecutionError(
-                            f"client {cid} failed in worker: {exc!r}"
-                        ) from exc
-                    requeue(cid, attempt, "error", repr(exc))
-                else:
+                    # The oldest task really stalled its worker.
+                    recycle(straggler=oldest)
+                    continue
+                for future in [f for f in running if f in done]:
+                    error = future.exception()
+                    if isinstance(error, BrokenProcessPool) and tolerant:
+                        broken = True  # recycled below, with the whole pool
+                        continue
+                    cid, attempt, _, _ = running.pop(future)
+                    if error is not None:
+                        if tolerant:
+                            requeue(cid, attempt, "error", repr(error))
+                        else:
+                            fatal[cid] = error
+                        continue
                     # The returned mutable state makes the coordinator's
                     # client indistinguishable from one that trained
                     # in-process (its wire residual included, so the codec
                     # sees the residual a sequential run would).
+                    result = future.result()
                     client = by_id[cid]
                     client.set_mutable_state(result.mutable_state)
                     outcomes[cid].compute_seconds = result.compute_seconds
@@ -1156,23 +1140,24 @@ class ParallelExecutor(RoundExecutor):
                         key, update, reference, wire_reference, client, outcomes[cid],
                         attempt, raw,
                     )
-            for cid, attempt, _ in tasks:  # never submitted: re-run uncharged
-                requeue(cid, attempt)
-            if broken or stuck:
-                # A broken pool is useless, and a stalled worker would leak
-                # into the next wave or round.
-                self._terminate_pool()
             if broken:
+                recycle()
                 if respawns_left <= 0:
                     raise RoundExecutionError(
                         f"worker pool died and the respawn budget "
                         f"(max_pool_respawns={self.max_pool_respawns}) is exhausted "
-                        f"with {len(pending)} client(s) still owed a result"
+                        f"with {len(queue)} client(s) still owed a result"
                     )
                 respawns_left -= 1
                 _log.warning(
-                    "worker pool died; respawning to re-run %d client(s)", len(pending)
+                    "worker pool died; respawning to re-run %d client(s)", len(queue)
                 )
+        if fatal:
+            self._terminate_pool()
+            cid = next(cid for cid in by_id if cid in fatal)
+            raise RoundExecutionError(
+                f"client {cid} failed in worker: {fatal[cid]!r}"
+            ) from fatal[cid]
         # Every result has been applied to its coordinator-side client;
         # hand the cohort's state back to the registry store in one sweep.
         execution = RoundExecution(bytes_broadcast=bytes_broadcast)

@@ -14,9 +14,8 @@ compose:
   quarantined clients count against the ``min_participation`` quorum and
   the report lands in :attr:`FLServer.last_screening` for telemetry;
 * **robust aggregation** — the ``aggregator`` knob swaps FedAvg for
-  coordinate-wise median, trimmed mean, norm-clipped FedAvg, or
-  Krum/Multi-Krum, bounding a Byzantine minority's influence even when it
-  slips past screening.
+  coordinate-wise median, trimmed mean or Krum (``AGGREGATORS``), bounding
+  a Byzantine minority's influence even when it slips past screening.
 """
 
 from __future__ import annotations

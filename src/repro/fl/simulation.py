@@ -294,8 +294,6 @@ class FederatedSimulation:
         self._sampling_rng = np.random.default_rng(sampling_seed)
         self.executor = executor if executor is not None else SequentialExecutor()
         self.executor.bind_registry(registry)
-        if self.clients is not None:
-            self.executor.prepare(self.clients)
         self.checkpoint = checkpoint
         self.history = FLHistory()
 
@@ -368,12 +366,6 @@ class FederatedSimulation:
         try:
             with Stopwatch() as round_watch:
                 participants = self.registry.checkout_many(participant_ids)
-                if self.registry.is_virtual:
-                    # Virtual cohorts are fresh objects every round; pooled
-                    # executors re-register them (the process backend pays a
-                    # pool respawn — an accepted, documented cost of
-                    # virtualization; see DESIGN.md §17).
-                    self.executor.prepare(participants)
                 execution = self.executor.execute(participants, self.server)
                 updates = execution.updates
                 # The executor already enforced its min_participation quorum;

@@ -43,35 +43,31 @@ class Optimizer:
         self.lr = lr
 
     # -- state (de)serialization ---------------------------------------
-    # Internal per-parameter slots (momentum/Adam moments) are keyed by
-    # ``id(param)``, which is process-local: ids do not survive pickling.
-    # The state dict keys slots by *parameter index* instead, so optimizer
-    # state can cross process boundaries (FL parallel executor) or be
-    # checkpointed, then restored bit-for-bit onto an equivalent parameter
-    # list.
+    # Per-parameter slots (momentum, Adam moments) are keyed by the
+    # parameter's *position* in ``params``, never by ``id(param)``: ids are
+    # process-local, positions survive pickling.  So an optimizer pickled
+    # with its client (the process engine ships whole clients to its
+    # workers) keeps its slots, and a state dict restores bit for bit onto
+    # an equivalent parameter list.
     def state_dict(self) -> Dict[str, object]:
         return {"lr": self.lr}
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         self.set_lr(float(state["lr"]))
 
-    def _slots_by_index(self, slots: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Re-key an ``id(param)``-indexed slot dict by parameter position."""
-        out: Dict[int, np.ndarray] = {}
-        for index, param in enumerate(self.params):
-            value = slots.get(id(param))
-            if value is not None:
-                out[index] = value.copy()
-        return out
+    @staticmethod
+    def _copy_slots(slots: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+        """Independent copies of ``slots``, in parameter order."""
+        return {index: slots[index].copy() for index in sorted(slots)}
 
-    def _slots_by_id(self, indexed: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Inverse of :meth:`_slots_by_index`."""
+    def _load_slots(self, indexed: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+        """Validated copies of position-keyed slots from a state dict."""
         out: Dict[int, np.ndarray] = {}
         for index, value in indexed.items():
             index = int(index)
             if not 0 <= index < len(self.params):
                 raise ValueError(f"optimizer state refers to unknown parameter {index}")
-            out[id(self.params[index])] = np.array(value, copy=True)
+            out[index] = np.array(value, copy=True)
         return out
 
 
@@ -93,30 +89,30 @@ class SGD(Optimizer):
         self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
-        for param in self.params:
+        for index, param in enumerate(self.params):
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             if self.momentum:
-                velocity = self._velocity.get(id(param))
+                velocity = self._velocity.get(index)
                 if velocity is None:
                     velocity = np.zeros_like(param.data)
                 velocity = self.momentum * velocity - self.lr * grad
-                self._velocity[id(param)] = velocity
+                self._velocity[index] = velocity
                 param.data = param.data + velocity
             else:
                 param.data = param.data - self.lr * grad
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()
-        state["velocity"] = self._slots_by_index(self._velocity)
+        state["velocity"] = self._copy_slots(self._velocity)
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         super().load_state_dict(state)
-        self._velocity = self._slots_by_id(state.get("velocity", {}))
+        self._velocity = self._load_slots(state.get("velocity", {}))
 
 
 class Adam(Optimizer):
@@ -142,36 +138,36 @@ class Adam(Optimizer):
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for param in self.params:
+        for index, param in enumerate(self.params):
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
-            m = self._m.get(id(param))
-            v = self._v.get(id(param))
+            m = self._m.get(index)
+            v = self._v.get(index)
             if m is None:
                 m = np.zeros_like(param.data)
                 v = np.zeros_like(param.data)
             m = self.beta1 * m + (1 - self.beta1) * grad
             v = self.beta2 * v + (1 - self.beta2) * grad**2
-            self._m[id(param)] = m
-            self._v[id(param)] = v
+            self._m[index] = m
+            self._v[index] = v
             m_hat = m / bias1
             v_hat = v / bias2
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()
-        state["m"] = self._slots_by_index(self._m)
-        state["v"] = self._slots_by_index(self._v)
+        state["m"] = self._copy_slots(self._m)
+        state["v"] = self._copy_slots(self._v)
         state["step_count"] = self._step_count
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         super().load_state_dict(state)
-        self._m = self._slots_by_id(state.get("m", {}))
-        self._v = self._slots_by_id(state.get("v", {}))
+        self._m = self._load_slots(state.get("m", {}))
+        self._v = self._load_slots(state.get("v", {}))
         self._step_count = int(state.get("step_count", 0))
 
 

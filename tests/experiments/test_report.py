@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import SMOKE
-from repro.experiments.report import _markdown_table, generate_report
+from repro.experiments.report import _markdown_table, _shape_section, generate_report
 from repro.experiments.results import ExperimentResult
 
 
@@ -33,6 +33,12 @@ class TestGenerateReport:
         text = generate_report(["table10"], profile)
         assert "Shape agreement" in text
         assert "spearman" in text
+
+    def test_one_alpha_table5_sweep_is_not_scored(self):
+        # The smoke profile sweeps a single alpha: no rank correlation.
+        result = ExperimentResult("table5", "t", ["dataset", "alpha_0", "alpha_0.5"])
+        result.add_row(dataset="cifar100", alpha_0=0.30, **{"alpha_0.5": 0.28})
+        assert "cifar100: n/a" in _shape_section(result)
 
     def test_cli_report_flag(self, tmp_path):
         from repro.experiments.__main__ import main

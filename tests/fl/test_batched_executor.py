@@ -106,7 +106,6 @@ class TestGrouping:
     def test_identical_clients_form_one_group(self, tiny_vector_dataset):
         clients = _build_clients(tiny_vector_dataset, 4)
         executor = BatchedExecutor()
-        executor.prepare(clients)
         groups = executor._plan_groups(clients)
         assert set(groups) == {0, 1, 2, 3}
         members, plan = groups[0]
@@ -116,7 +115,6 @@ class TestGrouping:
     def test_a_single_client_is_not_grouped(self, tiny_vector_dataset):
         clients = _build_clients(tiny_vector_dataset, 1)
         executor = BatchedExecutor()
-        executor.prepare(clients)
         assert executor._plan_groups(clients) == {}
 
     def test_hyperparameter_mismatch_splits_groups(self, tiny_vector_dataset):
@@ -130,7 +128,6 @@ class TestGrouping:
         ]
         executor = BatchedExecutor()
         clients = slow + fast
-        executor.prepare(clients)
         groups = executor._plan_groups(clients)
         assert {c.client_id for c in groups[0][0]} == {0, 1}
         assert {c.client_id for c in groups[2][0]} == {2, 3}
@@ -145,7 +142,6 @@ class TestGrouping:
             )
         )
         executor = BatchedExecutor()
-        executor.prepare(clients)
         groups = executor._plan_groups(clients)
         assert set(groups) == {0, 1, 2}
 
@@ -153,20 +149,17 @@ class TestGrouping:
         clients = _build_clients(tiny_vector_dataset, 3)
         clients[1]._optimizer = Adam(clients[1].model.parameters(), lr=0.05)
         executor = BatchedExecutor()
-        executor.prepare(clients)
         assert set(executor._plan_groups(clients)) == {0, 2}
 
     def test_augmented_clients_fall_back(self, tiny_vector_dataset):
         clients = _build_clients(tiny_vector_dataset, 3)
         clients[0].augment = lambda inputs: inputs
         executor = BatchedExecutor()
-        executor.prepare(clients)
         assert set(executor._plan_groups(clients)) == {1, 2}
 
     def test_cip_clients_stack_together(self, tiny_vector_dataset):
         clients = _build_cip_clients(tiny_vector_dataset, 3, CIPConfig())
         executor = BatchedExecutor()
-        executor.prepare(clients)
         groups = executor._plan_groups(clients)
         assert set(groups) == {0, 1, 2}
         assert [client.client_id for client in groups[0][0]] == [0, 1, 2]
@@ -176,7 +169,6 @@ class TestGrouping:
         cip = _build_cip_clients(tiny_vector_dataset, 2, CIPConfig(), first_id=2)
         executor = BatchedExecutor()
         clients = plain + cip
-        executor.prepare(clients)
         groups = executor._plan_groups(clients)
         assert {c.client_id for c in groups[0][0]} == {0, 1}
         assert {c.client_id for c in groups[2][0]} == {2, 3}
@@ -191,7 +183,6 @@ class TestGrouping:
         )
         clients[5].perturbation.set_lr(0.5)
         executor = BatchedExecutor()
-        executor.prepare(clients)
         groups = executor._plan_groups(clients)
         assert {c.client_id for c in groups[0][0]} == {0, 1, 4}
         assert {c.client_id for c in groups[2][0]} == {2, 3}
@@ -201,7 +192,6 @@ class TestGrouping:
         clients = _build_cip_clients(tiny_vector_dataset, 3, CIPConfig())
         clients[0].augment = lambda inputs: inputs
         executor = BatchedExecutor()
-        executor.prepare(clients)
         assert set(executor._plan_groups(clients)) == {1, 2}
 
     def test_batchnorm_cip_clients_fall_back(self, tiny_image_dataset):
@@ -219,7 +209,6 @@ class TestGrouping:
             for i in range(3)
         ]
         executor = BatchedExecutor()
-        executor.prepare(clients)
         assert executor._plan_groups(clients) == {}
 
     def test_unsupported_modules_are_not_batchable(self):

@@ -21,6 +21,7 @@ from repro.core.cip_client import CIPClient
 from repro.core.config import CIPConfig, ExecutionConfig
 from repro.data.dataset import Dataset
 from repro.data.partition import partition_iid
+from repro.fl import executor as executor_module
 from repro.fl.client import ClientConfig, FLClient
 from repro.fl.executor import (
     ParallelExecutor,
@@ -28,6 +29,7 @@ from repro.fl.executor import (
     SequentialExecutor,
     make_executor,
 )
+from repro.fl.registry import ClientRegistry
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import build_model
@@ -159,13 +161,54 @@ class TestFailureModes:
         with pytest.raises(RoundExecutionError, match="client 0"):
             sim.run_round()
 
-    def test_unregistered_participant_rejected(self, tiny_vector_dataset):
-        clients = _build_clients(tiny_vector_dataset, 3)
-        executor = ParallelExecutor(num_workers=2)
-        executor.prepare(clients[:2])
-        with pytest.raises(RoundExecutionError, match="prepare"):
-            executor.execute([clients[2]], FLServer(_mlp_factory))
-        executor.close()
+    @pytest.mark.parametrize(
+        "settings", [{}, {"max_retries": 2}], ids=["fail-fast", "retries"]
+    )
+    def test_unpicklable_client_is_named(self, tiny_vector_dataset, settings):
+        # A client crosses to its worker pickled; a closure cannot, and no
+        # retry can mend that.
+        clients = _build_clients(tiny_vector_dataset, 2, augment=lambda inputs: inputs)
+        executor = ParallelExecutor(num_workers=2, **settings)
+        server = FLServer(_mlp_factory)
+        with FederatedSimulation(server, clients, executor=executor) as sim:
+            with pytest.raises(RoundExecutionError, match="not picklable"):
+                sim.run_round()
+
+
+class TestPoolLifetime:
+    def test_virtual_cohorts_share_one_pool(self, tiny_vector_dataset, monkeypatch):
+        # Every round checks out a fresh cohort of objects; the pool lives
+        # for the whole run regardless.
+        starts = []
+
+        class CountingPool(executor_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+        shards = partition_iid(tiny_vector_dataset, 6, seed=0)
+
+        def factory(cid):
+            return FLClient(
+                cid, shards[cid], _mlp_factory, config=ClientConfig(lr=0.05),
+                seed=derive_rng(7, "virtual", cid),
+            )
+
+        states = []
+        for executor in (SequentialExecutor(), ParallelExecutor(num_workers=2)):
+            server = FLServer(_mlp_factory)
+            with FederatedSimulation(
+                server,
+                registry=ClientRegistry(factory, population=6),
+                executor=executor,
+                clients_per_round=3,
+                sampling_seed=5,
+            ) as sim:
+                sim.run(3)
+            states.append(server.global_state())
+        _assert_states_equal(*states)
+        assert len(starts) == 1
 
 
 class TestRoundMetrics:

@@ -1,5 +1,7 @@
 """Optimizer behaviour: SGD, momentum, Adam, lr schedules."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,39 @@ class TestAdam:
         p.grad = np.array([0.0])
         opt.step()
         assert p.data[0] < 1.0
+
+
+class TestPickling:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda params: SGD(params, lr=0.1, momentum=0.9),
+            lambda params: Adam(params, lr=0.05),
+        ],
+        ids=["sgd-momentum", "adam"],
+    )
+    def test_copy_steps_like_the_original(self, make):
+        # The process engine pickles whole clients, optimizers included:
+        # the copy must keep its momentum / moments, although its
+        # parameters are new objects.
+        rng = np.random.default_rng(0)
+        params = [
+            Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+            Tensor(rng.normal(size=4), requires_grad=True),
+        ]
+        optimizer = make(params)
+        for param in params:
+            param.grad = rng.normal(size=param.shape)
+        optimizer.step()
+        copy = pickle.loads(pickle.dumps(optimizer))
+        for param, twin in zip(optimizer.params, copy.params):
+            grad = rng.normal(size=param.shape)
+            param.grad = grad
+            twin.grad = grad.copy()
+        optimizer.step()
+        copy.step()
+        for param, twin in zip(optimizer.params, copy.params):
+            assert np.array_equal(param.data, twin.data)
 
 
 class TestStepDecaySchedule:
