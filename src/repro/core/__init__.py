@@ -22,13 +22,11 @@ from repro.core.config import (
 from repro.core.perturbation import Perturbation, optimize_perturbation_for_model
 from repro.core.trainer import (
     CIPTrainer,
-    CIPTrainHistory,
     cip_model_loss,
     evaluate_with_perturbation,
     predict_logits_with_perturbation,
 )
 from repro.core.cip_client import CIPClient
-from repro.core.persistence import load_cip_state, save_cip_state
 from repro.core.theory import (
     Theorem1Check,
     adversarial_advantage,
@@ -50,13 +48,10 @@ __all__ = [
     "Perturbation",
     "optimize_perturbation_for_model",
     "CIPTrainer",
-    "CIPTrainHistory",
     "cip_model_loss",
     "evaluate_with_perturbation",
     "predict_logits_with_perturbation",
     "CIPClient",
-    "save_cip_state",
-    "load_cip_state",
     "adversarial_advantage",
     "membership_posterior",
     "theorem1_epsilon",

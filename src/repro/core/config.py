@@ -674,11 +674,6 @@ class ExecutionConfig(EngineConfig):
         "--population (default: every client)", "scaling", metavar="FRACTION",
         check=_FRACTION,
     )
-    shards: int = knob(
-        1, "hierarchical-aggregation shard count; sharded FedAvg is bitwise "
-        "identical to flat, robust rules apply shard-locally; 1 is flat",
-        "scaling", metavar="S", check=_AT_LEAST_ONE,
-    )
     state_store: str = knob(
         "memory", "where virtualized per-client state lives between rounds: "
         "memory (all resident) or lru (hot cache + disk spill)", "scaling",
@@ -720,17 +715,14 @@ class ExecutionConfig(EngineConfig):
     @property
     def aggregator_options(self) -> Dict[str, Any]:
         """``FLServer.set_aggregator`` keywords for the selected rule: the
-        knobs :attr:`READ_BY` has it read, plus the shard count."""
+        knobs :attr:`READ_BY` has it read."""
         declared = self.__dataclass_fields__
-        options = {
+        return {
             declared[name].metadata["option"] or name: getattr(self, name)
             for names, reader, values in self.READ_BY
             if reader == "aggregator" and self.aggregator in values
             for name in names
         }
-        if self.shards > 1:
-            options["shards"] = self.shards
-        return options
 
 
 @dataclass

@@ -20,7 +20,6 @@ epochs to converge (RQ5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.nn.layers import Module
 from repro.nn.losses import cross_entropy, stacked_cross_entropy
 from repro.nn.optim import Optimizer
 from repro.nn.tensor import Tensor, no_grad
-from repro.utils.rng import SeedLike, as_generator, derive_rng
+from repro.utils.rng import SeedLike, derive_rng
 
 AugmentFn = Callable[[np.ndarray], np.ndarray]
 
@@ -91,18 +90,6 @@ def stacked_cip_model_loss(
     return loss_blended - config.lambda_m * per_sample.mean(axis=1)
 
 
-@dataclass
-class CIPTrainHistory:
-    """Per-epoch record of the alternating optimization."""
-
-    model_losses: List[float] = field(default_factory=list)
-    perturbation_losses: List[float] = field(default_factory=list)
-
-    @property
-    def epochs(self) -> int:
-        return len(self.model_losses)
-
-
 class CIPTrainer:
     """Alternating Step-I / Step-II training of a dual-channel model."""
 
@@ -119,7 +106,6 @@ class CIPTrainer:
         self.optimizer = optimizer
         self.config = config or perturbation.config
         self.augment = augment
-        self.history = CIPTrainHistory()
 
     def train_epoch(
         self, dataset: Dataset, batch_size: int = 32, seed: SeedLike = None
@@ -127,27 +113,21 @@ class CIPTrainer:
         """One epoch of alternating optimization; returns mean Step-II loss."""
         self.model.train()
         loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, seed=seed)
-        total_model = 0.0
-        total_pert = 0.0
+        total = 0.0
         count = 0
         for inputs, labels in loader:
             if self.augment is not None:
                 inputs = self.augment(inputs)
             # Step I: shape t against the current model.
-            pert_obj = self.perturbation.optimize(self.model, inputs, labels)
+            self.perturbation.optimize(self.model, inputs, labels)
             # Step II: fit the model against the current t.
             self.optimizer.zero_grad()
             loss = cip_model_loss(self.model, self.perturbation, inputs, labels)
             loss.backward()
             self.optimizer.step()
-            total_model += loss.item() * len(labels)
-            if not np.isnan(pert_obj):
-                total_pert += pert_obj * len(labels)
+            total += loss.item() * len(labels)
             count += len(labels)
-        mean_model = total_model / max(count, 1)
-        self.history.model_losses.append(mean_model)
-        self.history.perturbation_losses.append(total_pert / max(count, 1))
-        return mean_model
+        return total / max(count, 1)
 
     def train(
         self,
@@ -155,10 +135,12 @@ class CIPTrainer:
         epochs: int,
         batch_size: int = 32,
         seed: SeedLike = None,
-    ) -> CIPTrainHistory:
-        for epoch in range(epochs):
+    ) -> List[float]:
+        """Train ``epochs`` epochs; returns each epoch's mean Step-II loss."""
+        return [
             self.train_epoch(dataset, batch_size=batch_size, seed=derive_rng(seed, epoch))
-        return self.history
+            for epoch in range(epochs)
+        ]
 
     # -- client-side inference --------------------------------------------
     def evaluate(self, dataset: Dataset, batch_size: int = 64) -> EvalResult:

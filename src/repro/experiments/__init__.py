@@ -15,11 +15,7 @@ from repro.experiments.registry import (
     register,
     run_experiment,
 )
-from repro.experiments.results import (
-    ExperimentResult,
-    format_table,
-    render_ascii_series,
-)
+from repro.experiments.results import ExperimentResult, format_table
 from repro.experiments.common import (
     CIPArtifact,
     LegacyArtifact,
@@ -60,7 +56,6 @@ __all__ = [
     "list_experiments",
     "ExperimentResult",
     "format_table",
-    "render_ascii_series",
     "CIPArtifact",
     "LegacyArtifact",
     "train_cip",

@@ -97,7 +97,7 @@ def configure_server_robustness(server) -> None:
     call site repeating the option plumbing.
     """
     config = _EXECUTION_CONFIG
-    if config.aggregator != getattr(server, "aggregator_name", "fedavg") or config.shards > 1:
+    if config.aggregator != getattr(server, "aggregator_name", "fedavg"):
         server.set_aggregator(config.aggregator, **config.aggregator_options)
     # Where screening runs is decided here only: the async engine screens
     # each arrival at admission (a streaming window inside the executor), so

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blending import blend_arrays
 from repro.core.theory import check_theorem1
 from repro.core.trainer import predict_logits_with_perturbation
 from repro.experiments.common import attack_pools, get_bundle, train_cip, train_legacy

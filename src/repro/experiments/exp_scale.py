@@ -7,10 +7,9 @@ round samples a cohort of ids, builds only those clients from
 ``(seed, client_id)``, trains them, and parks their dirty state in the
 configured state store.  The result table reports the memory evidence
 (peak RSS, store-resident bytes, high-water live-client count) alongside
-the usual round telemetry, and cross-checks that sharded hierarchical
-FedAvg reproduces flat FedAvg bitwise.
+the usual round telemetry.
 
-CLI knobs (``--population --cohort-fraction --shards --state-store
+CLI knobs (``--population --cohort-fraction --state-store
 --state-cache-size``) override the profile-scaled defaults; the optional
 ``REPRO_SCALE_RSS_CEILING_MB`` environment variable turns the peak-RSS
 report into a hard assertion (CI's scale matrix uses it).
@@ -18,7 +17,6 @@ report into a hard assertion (CI's scale matrix uses it).
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Optional, Tuple
 
@@ -94,40 +92,6 @@ def build_scale_registry(
     return registry, FLServer(model_factory)
 
 
-def global_digest(server: FLServer) -> str:
-    """SHA-256 over the server's global state (key order + raw bytes)."""
-    digest = hashlib.sha256()
-    for key, value in sorted(server.global_state().items()):
-        digest.update(key.encode("utf-8"))
-        digest.update(value.tobytes())
-    return digest.hexdigest()
-
-
-def _run_cohorts(
-    population: int,
-    cohort: int,
-    rounds: int,
-    seed: int,
-    shards: int,
-) -> str:
-    """One small virtual run at the given shard count; returns the digest."""
-    registry, server = build_scale_registry(population, seed=seed)
-    if shards > 1:
-        server.set_aggregator("fedavg", shards=shards)
-    simulation = run_federated(
-        server,
-        None,
-        rounds,
-        registry=registry,
-        clients_per_round=cohort,
-        sampling_seed=seed,
-    )
-    try:
-        return global_digest(simulation.server)
-    finally:
-        registry.close()
-
-
 @register("scale", "Client virtualization: flat-memory rounds", "Scaling drill")
 def scale(profile: Profile) -> ExperimentResult:
     config = get_execution_config()
@@ -152,7 +116,6 @@ def scale(profile: Profile) -> ExperimentResult:
             "store_resident_mb",
             "max_live_clients",
             "materializations",
-            "shard_digest_match",
         ],
     )
 
@@ -162,8 +125,6 @@ def scale(profile: Profile) -> ExperimentResult:
         store_name=config.state_store,
         cache_size=config.state_cache_size,
     )
-    if config.shards > 1:
-        server.set_aggregator(config.aggregator, shards=config.shards)
     simulation = run_federated(
         server,
         None,
@@ -179,20 +140,6 @@ def scale(profile: Profile) -> ExperimentResult:
     materializations = registry.materialized_total
     registry.close()
 
-    # Sharded hierarchical FedAvg must be an arithmetic no-op: re-run a
-    # small federation flat and sharded and compare global-state digests.
-    check_population = min(population, 48)
-    check_cohort = min(cohort, 12)
-    check_shards = config.shards if config.shards > 1 else 3
-    flat = _run_cohorts(check_population, check_cohort, 2, seed, shards=1)
-    sharded = _run_cohorts(check_population, check_cohort, 2, seed, shards=check_shards)
-    if flat != sharded:
-        raise RuntimeError(
-            f"sharded fedavg diverged from flat: {flat[:16]} != {sharded[:16]} "
-            f"(population={check_population}, cohort={check_cohort}, "
-            f"shards={check_shards})"
-        )
-
     result.add_row(
         population=population,
         cohort=cohort,
@@ -203,12 +150,8 @@ def scale(profile: Profile) -> ExperimentResult:
         store_resident_mb=store_resident / 1e6,
         max_live_clients=max_live,
         materializations=materializations,
-        shard_digest_match=True,
     )
-    result.add_note(
-        f"cohort fraction {fraction:.4f}; shard check at population "
-        f"{check_population} with {check_shards} shards: digests equal"
-    )
+    result.add_note(f"cohort fraction {fraction:.4f}")
 
     ceiling_mb = os.environ.get("REPRO_SCALE_RSS_CEILING_MB")
     if ceiling_mb:

@@ -9,7 +9,7 @@ artifact as text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -36,39 +36,6 @@ def _format_cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def render_ascii_series(
-    result: ExperimentResult,
-    x_column: str,
-    y_column: str,
-    group_column: Optional[str] = None,
-    width: int = 50,
-) -> str:
-    """Terminal rendering of a figure-type result as aligned bar series.
-
-    Each distinct value of ``group_column`` (e.g. the defense or dataset)
-    becomes one series; within a series, rows are sorted by ``x_column`` and
-    ``y_column`` is drawn as a horizontal bar scaled to the result's global
-    maximum — enough to eyeball the crossovers the paper's figures show.
-    """
-    rows = [r for r in result.rows if isinstance(r.get(y_column), (int, float))]
-    if not rows:
-        return "(no numeric rows)"
-    peak = max(abs(float(r[y_column])) for r in rows) or 1.0
-    groups: Dict[object, List[Dict[str, object]]] = {}
-    for row in rows:
-        key = row.get(group_column) if group_column else ""
-        groups.setdefault(key, []).append(row)
-    lines = [f"-- {result.experiment_id}: {y_column} vs {x_column} --"]
-    for key in sorted(groups, key=str):
-        if group_column:
-            lines.append(f"[{group_column}={key}]")
-        for row in sorted(groups[key], key=lambda r: str(r.get(x_column))):
-            value = float(row[y_column])
-            bar = "#" * max(0, int(round(abs(value) / peak * width)))
-            lines.append(f"  {str(row.get(x_column)):>8} | {bar} {value:.3f}")
-    return "\n".join(lines)
 
 
 def format_table(result: ExperimentResult) -> str:

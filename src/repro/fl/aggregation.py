@@ -46,8 +46,7 @@ Computation-cost note: ``median``/``trimmed_mean`` sort ``O(n·d log n)``,
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -66,8 +65,6 @@ __all__ = [
     "trimmed_mean",
     "krum",
     "make_aggregator",
-    "shard_partition",
-    "ShardAggregator",
     "state_delta",
     "apply_delta",
     "flatten_state",
@@ -363,185 +360,6 @@ def make_aggregator(
             states, num_byzantine=num_byzantine, staleness=staleness
         )
     raise ValueError(f"unknown aggregator {name!r}; expected one of {AGGREGATORS}")
-
-
-def shard_partition(count: int, shards: int) -> List[tuple]:
-    """Contiguous, balanced ``(start, stop)`` bounds over ``count`` members.
-
-    The first ``count % shards`` shards carry one extra member; ``shards``
-    beyond ``count`` clamps to one member per shard.  Contiguity in the
-    *canonical cohort order* (the participant order the server sees) is the
-    property the sharded FedAvg bit-identity rests on: every member keeps
-    its global fold position.
-    """
-    if count < 1:
-        raise ValueError("shard_partition needs at least one member")
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    shards = min(shards, count)
-    base, extra = divmod(count, shards)
-    bounds: List[tuple] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-class ShardAggregator:
-    """Hierarchical (edge → region → root) aggregation over cohort shards.
-
-    Models the cross-device topology where edge aggregators each serve a
-    contiguous slice of the sampled cohort and forward a single result
-    upward.  The arithmetic depends on the rule:
-
-    * ``rule="fedavg"`` — an **ordered continuation fold**: the float64
-      accumulator threads through the shards in canonical cohort order, so
-      each edge node continues exactly where the previous one stopped.  The
-      resulting float sequence per coordinate is *identical* to flat
-      :func:`fedavg`'s left fold — bit-identical by construction, not by
-      hoping float addition associates (it does not).  This matches a real
-      chain/ring of edge aggregators each folding its members into the
-      running partial before passing it on.
-    * robust rules (``median``/``trimmed_mean``/``krum``) — **shard-local
-      semantics**: each edge shard applies
-      the rule to its own members, producing one representative; the root
-      (optionally via a region tier of ``region_fanout`` shards each)
-      applies the same rule over the representatives.  Breakdown points are
-      therefore *per shard*: a shard whose own Byzantine fraction exceeds
-      the rule's tolerance is lost even if the global fraction is fine, and
-      conversely a poisoned minority confined to one shard is contained at
-      that shard's edge.  Representative weights at upper tiers are the
-      shard's total sample mass; staleness weights apply at the edge tier
-      only (upper tiers see already-discounted representatives and treating
-      them as stale again would double-discount).
-
-    The instance is a drop-in :data:`Aggregator` — ``(states, weights=None,
-    *, reference=None, staleness=None)`` — so ``FLServer.set_aggregator``
-    accepts it like any registry rule; ``__name__`` reads
-    ``"sharded_<rule>"`` for telemetry.
-    """
-
-    def __init__(
-        self,
-        rule: str = "fedavg",
-        shards: int = 2,
-        region_fanout: Optional[int] = None,
-        *,
-        trim_fraction: float = 0.1,
-        num_byzantine: Optional[int] = None,
-    ) -> None:
-        if rule not in AGGREGATORS:
-            raise ValueError(f"unknown rule {rule!r}; expected one of {AGGREGATORS}")
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        if region_fanout is not None and region_fanout < 2:
-            raise ValueError("region_fanout must be at least 2")
-        self.rule = rule
-        self.shards = int(shards)
-        self.region_fanout = None if region_fanout is None else int(region_fanout)
-        self.__name__ = f"sharded_{rule}"
-        self._edge_rule = (
-            None
-            if rule == "fedavg"
-            else make_aggregator(
-                rule, trim_fraction=trim_fraction, num_byzantine=num_byzantine
-            )
-        )
-
-    def __call__(
-        self,
-        states: Sequence[StateDict],
-        weights: Optional[Sequence[float]] = None,
-        *,
-        reference: Optional[StateDict] = None,
-        staleness: Optional[Sequence[float]] = None,
-    ) -> StateDict:
-        _check_compatible(states)
-        if self.rule == "fedavg":
-            return self._fedavg_tree(states, weights)
-        return self._robust_tree(states, weights, reference, staleness)
-
-    def _fedavg_tree(
-        self, states: Sequence[StateDict], weights: Optional[Sequence[float]]
-    ) -> StateDict:
-        # Normalization uses the *cohort-wide* weight total (each edge node
-        # knows the global sum — one scalar broadcast), then the accumulator
-        # threads through the shards in order.  Same multiplies, same adds,
-        # same order as flat fedavg => bitwise-equal result.
-        bounds = shard_partition(len(states), self.shards)
-        weights_arr = _normalized_weights(weights, len(states))
-        merged: StateDict = {}
-        for key in states[0]:
-            acc = np.zeros(states[0][key].shape, dtype=np.float64)
-            for start, stop in bounds:
-                for w, state in zip(weights_arr[start:stop], states[start:stop]):
-                    acc += w * state[key].astype(np.float64, copy=False)
-            merged[key] = _cast_back(acc, states[0][key])
-        return merged
-
-    def _reduce_tier(
-        self,
-        states: Sequence[StateDict],
-        weights: Optional[Sequence[float]],
-        reference: Optional[StateDict],
-        staleness: Optional[Sequence[float]],
-        shards: int,
-    ) -> tuple:
-        """Apply the rule shard-locally; return (representatives, masses)."""
-        bounds = shard_partition(len(states), shards)
-        representatives: List[StateDict] = []
-        masses: List[float] = []
-        for start, stop in bounds:
-            members = list(states[start:stop])
-            member_weights = (
-                None if weights is None else list(weights[start:stop])
-            )
-            member_staleness = (
-                None if staleness is None else list(staleness[start:stop])
-            )
-            representatives.append(
-                self._edge_rule(
-                    members,
-                    member_weights,
-                    reference=reference,
-                    staleness=member_staleness,
-                )
-            )
-            masses.append(
-                float(sum(member_weights))
-                if member_weights is not None
-                else float(stop - start)
-            )
-        return representatives, masses
-
-    def _robust_tree(
-        self,
-        states: Sequence[StateDict],
-        weights: Optional[Sequence[float]],
-        reference: Optional[StateDict],
-        staleness: Optional[Sequence[float]],
-    ) -> StateDict:
-        # Edge tier: the only tier that sees raw member updates (and hence
-        # the only one staleness weights apply to).
-        representatives, masses = self._reduce_tier(
-            states, weights, reference, staleness, self.shards
-        )
-        # Optional region tier between edge and root.
-        if (
-            self.region_fanout is not None
-            and len(representatives) > self.region_fanout
-        ):
-            regions = math.ceil(len(representatives) / self.region_fanout)
-            representatives, masses = self._reduce_tier(
-                representatives, masses, reference, None, regions
-            )
-        if len(representatives) == 1:
-            return representatives[0]
-        return self._edge_rule(
-            representatives, masses, reference=reference, staleness=None
-        )
 
 
 def state_delta(new: StateDict, old: StateDict) -> StateDict:

@@ -39,8 +39,8 @@ Clients that cannot be stacked — other client subclasses (defenses override
 has BatchNorm (Step I runs the model in eval mode, and the stacked
 BatchNorm step implements training mode only), heterogeneous architectures
 or hyperparameters, non-SGD optimizers, models with a layer the plan
-compiler does not lower (dropout, BatchNorm1d, tanh, sigmoid, a bare
-flatten or identity), or a group of one — run the shared per-client lifecycle
+compiler does not lower (tanh, sigmoid, a bare flatten or identity), or a
+group of one — run the shared per-client lifecycle
 (``RoundExecutor._run_client``), as does the whole round whenever fault
 tolerance is enabled (fault decisions are keyed per-(round, client,
 attempt) and must interleave exactly as the sequential engine does).  A
@@ -360,8 +360,8 @@ def compile_stacked_plan(model: Module) -> Tuple[List[Step], Tuple]:
 # Per-kind objectives
 #
 # ``BatchedExecutor._train_group`` is the one stacked training loop.  The
-# client kind supplies what differs: the shuffle streams, the per-batch
-# objective and update, and what it records per epoch.
+# client kind supplies what differs: the shuffle streams and the per-batch
+# objective and update.
 # ----------------------------------------------------------------------
 #: Runs the stacked plan on an input (a blended pair for dual-channel
 #: plans) with the given parameters.
@@ -372,7 +372,6 @@ class _PlainObjective:
     """``FLClient.local_update``: the cross-entropy of ``train_supervised``."""
 
     def __init__(self, group: List[FLClient], forward: Forward) -> None:
-        self.group = group
         self.forward = forward
 
     @staticmethod
@@ -385,9 +384,6 @@ class _PlainObjective:
     def loss(self, params: Params, inputs: np.ndarray, labels: np.ndarray) -> Tensor:
         """The ``(K,)`` losses whose sum backpropagates into ``params``."""
         return stacked_cross_entropy(self.forward(Tensor(inputs), params), labels)
-
-    def end_epoch(self, losses: List[float], count: int) -> None:
-        pass
 
 
 class _CIPObjective(_PlainObjective):
@@ -405,7 +401,6 @@ class _CIPObjective(_PlainObjective):
         )
         for index, client in enumerate(group):
             client.perturbation.t.data = self.t.data[index, 0]  # trains in place
-        self.perturbation_totals = [0.0] * len(group)
 
     @staticmethod
     def streams(client: CIPClient) -> List[np.random.Generator]:
@@ -418,27 +413,15 @@ class _CIPObjective(_PlainObjective):
     def loss(self, params: Params, inputs: np.ndarray, labels: np.ndarray) -> Tensor:
         # Step I shapes t against the current model, held constant.
         frozen = {name: Tensor(leaf.data) for name, leaf in params.items()}
-        objectives = None
         for _ in range(self.config.perturbation_steps):
-            objectives = stacked_perturbation_step(
+            stacked_perturbation_step(
                 lambda pair: self.forward(pair, frozen),
                 self.t, inputs, labels, self.config, self.lr,
             )
-        if objectives is not None:
-            for k, objective in enumerate(objectives):
-                if not np.isnan(objective):
-                    self.perturbation_totals[k] += float(objective) * labels.shape[1]
         # Step II fits the model against the current t.
         return stacked_cip_model_loss(
             lambda pair: self.forward(pair, params), self.t, inputs, labels, self.config
         )
-
-    def end_epoch(self, losses: List[float], count: int) -> None:
-        for k, client in enumerate(self.group):
-            history = client._trainer.history
-            history.model_losses.append(losses[k])
-            history.perturbation_losses.append(self.perturbation_totals[k] / max(count, 1))
-        self.perturbation_totals = [0.0] * len(self.group)
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +517,7 @@ class BatchedExecutor(SequentialExecutor):
         # CIP needs the dual-channel plan, and its Step I runs the model in
         # eval mode, which the stacked BatchNorm steps (training mode only)
         # do not implement.
-        if not dual or any(entry[0] in ("bn1d", "bn2d") for entry in sig):
+        if not dual or any(entry[0] == "bn2d" for entry in sig):
             return None
         perturbation = client.perturbation
         return key + (astuple(perturbation.config), perturbation._optimizer.lr), plan
@@ -719,7 +702,6 @@ class BatchedExecutor(SequentialExecutor):
                     totals[k] += float(loss_vec.data[k]) * batch_len
                 count += batch_len
             losses = [total / max(count, 1) for total in totals]
-            objective.end_epoch(losses, count)
 
         # The update payloads get independent copies, exactly like the
         # sequential ``clone_state_dict`` path, built params-then-buffers in

@@ -9,7 +9,7 @@ persists everything its next round depends on:
 * every client's :class:`~repro.fl.client.ClientMutableState` — model and
   optimizer state, round counter, RNG generators, and subclass extras such
   as the CIP perturbation ``t`` and its Step-I optimizer;
-* the participant-sampling RNG state and the LR-schedule position;
+* the participant-sampling RNG state;
 * the full :class:`~repro.fl.simulation.FLHistory`.
 
 Virtualized populations (:class:`~repro.fl.registry.ClientRegistry`) store
@@ -115,7 +115,6 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
         registry_meta = {
             "spec_digest": registry.spec_digest(),
             "population": len(registry),
-            "schedule_lr": registry.schedule_lr,
             "spill_manifest": registry.store.spill_manifest(),
         }
     else:
@@ -141,8 +140,8 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
         "clients": client_snapshot,
         # ``None`` for live-object populations; virtual runs carry the
         # registry identity (spec digest + population) so a restore can
-        # refuse a mismatched reconstruction, plus the schedule lr and the
-        # spill manifest (informational: states are inlined above).
+        # refuse a mismatched reconstruction, plus the spill manifest
+        # (informational: states are inlined above).
         "registry": registry_meta,
         "sampling_rng_state": simulation._sampling_rng.bit_generator.state,
         # Evolving executor state (None for the stateless synchronous
@@ -150,9 +149,6 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
         # updates, virtual clock, task counters, screening window — so a
         # resumed async run replays bit-identically.
         "executor_state": simulation.executor.export_state(),
-        "lr_schedule_round": (
-            simulation.lr_schedule._round if simulation.lr_schedule is not None else None
-        ),
         "history": simulation.history,
     }
     path = checkpoint_path(directory, round_index)
@@ -334,12 +330,8 @@ def restore_simulation(simulation, path: str) -> int:
         ) from exc
     if registry.is_virtual:
         # Dirty states go back into the store (replacing whatever partial
-        # state it held); cold clients keep deriving from (seed, id).  The
-        # schedule lr re-applies to every client materialized from now on.
+        # state it held); cold clients keep deriving from (seed, id).
         registry.store.load_snapshot(client_states)
-        schedule_lr = registry_meta.get("schedule_lr")
-        if schedule_lr is not None:
-            registry.schedule_lr = float(schedule_lr)
     else:
         for client in simulation.clients:
             client.set_mutable_state(client_states[client.client_id])
@@ -349,12 +341,6 @@ def restore_simulation(simulation, path: str) -> int:
     # Missing key = pre-async checkpoint; import_state(None) resets the
     # executor's stream (a no-op for the stateless synchronous engines).
     simulation.executor.import_state(payload.get("executor_state"))
-    schedule_round = payload.get("lr_schedule_round")
-    if simulation.lr_schedule is not None and schedule_round is not None:
-        schedule = simulation.lr_schedule
-        schedule._round = int(schedule_round)
-        stage = sum(1 for m in schedule.milestones if schedule._round >= m)
-        schedule.optimizer.set_lr(schedule.rates[stage])
     simulation.history = payload["history"]
     _log.info("restored round %d from %s", round_index, path)
     return round_index

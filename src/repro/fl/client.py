@@ -195,10 +195,7 @@ class FLClient:
     def _load_extra_state(self, extra: Dict[str, object]) -> None:
         pass
 
-    # -- hooks for schedules / evaluation ---------------------------------
-    def set_lr(self, lr: float) -> None:
-        self._optimizer.set_lr(lr)
-
+    # -- evaluation ----------------------------------------------------------
     def evaluate(self, dataset: Dataset) -> EvalResult:
         """Evaluate the client's current model on an arbitrary dataset."""
         return evaluate_model(self.model, dataset, batch_size=self.config.batch_size)

@@ -419,9 +419,12 @@ class RoundExecutor(ABC):
         dense_bytes)``: the update carrying the *decoded* state — so
         screening, robust aggregation, and the global model see exactly what
         crossed the wire — plus the (cumulative) wire payload size and the
-        dense baseline.  For lossy codecs with error feedback the client's
-        residual is consumed and replaced here — committed only once a
-        transmission decodes, so retransmissions re-encode identically.
+        dense baseline.  An uncompressed update whose first transmission
+        arrives intact bills its dense size, so ``wire_bytes ==
+        dense_bytes`` on every engine.  For lossy codecs with error feedback
+        the client's residual is consumed and replaced here — committed only
+        once a transmission decodes, so retransmissions re-encode
+        identically.
 
         This is also where the injector's *wire fault channel* fires: each
         transmission draws its corruption fate from
@@ -437,10 +440,10 @@ class RoundExecutor(ABC):
 
         ``raw_payload`` lets the process backend reuse the payload its
         worker already packed (identical bytes to packing ``update.state``
-        here) instead of re-packing.  Only its size is used unless a wire
-        fault fires, so it may be stale (e.g. after Byzantine corruption)
-        when wire faults are off; otherwise pass ``None`` whenever
-        ``update.state`` no longer matches the packed bytes.
+        here) instead of re-packing.  Only a wire fault reads it, so it may
+        be stale (e.g. after Byzantine corruption) when wire faults are off;
+        otherwise pass ``None`` whenever ``update.state`` no longer matches
+        the packed bytes.
         """
         dense_bytes = state_dict_nbytes(update.state)
         injector = self.fault_injector
@@ -451,8 +454,7 @@ class RoundExecutor(ABC):
                 # Dense fast path: the (first) transmission arrives intact,
                 # so skip the pack/decode round trip — bitwise identical to
                 # the wire-faults-off path.
-                wire_bytes = len(raw_payload) if raw_payload is not None else dense_bytes
-                return update, wire_bytes, dense_bytes
+                return update, dense_bytes, dense_bytes
             payload = (
                 raw_payload
                 if raw_payload is not None
@@ -965,10 +967,10 @@ class ParallelExecutor(RoundExecutor):
             return AttemptStep("train", decision.kind)
         return super()._attempt_step(decision, attempt)
 
-    def _broadcast_payloads(
+    def _broadcasts(
         self, participants: Sequence[FLClient], server
-    ) -> Tuple[List[bytes], int]:
-        """Per-participant packed broadcasts, packing the shared state once.
+    ) -> Dict[int, Tuple[bytes, int]]:
+        """Client id -> its packed broadcast and the dense bytes it bills.
 
         Without a ``broadcast_hook`` every client receives the identical
         global state, so it is packed a single time and the same read-only
@@ -976,13 +978,16 @@ class ParallelExecutor(RoundExecutor):
         experiments) each client's tampered state is packed individually.
         """
         if server.broadcast_hook is None:
-            shared = pack_state_dict(server.global_state())
-            return [shared] * len(participants), len(shared) * len(participants)
-        payloads = [
-            pack_state_dict(server.broadcast(client.client_id))
-            for client in participants
-        ]
-        return payloads, sum(len(payload) for payload in payloads)
+            state = server.global_state()
+            shared = (pack_state_dict(state), state_dict_nbytes(state))
+            return {client.client_id: shared for client in participants}
+        broadcasts = {}
+        for client in participants:
+            state = server.broadcast(client.client_id)
+            broadcasts[client.client_id] = (
+                pack_state_dict(state), state_dict_nbytes(state)
+            )
+        return broadcasts
 
     @staticmethod
     def _pickle_client(client: FLClient) -> bytes:
@@ -1013,8 +1018,7 @@ class ParallelExecutor(RoundExecutor):
         wire_reference = self._wire_reference(server)
         profile_token = self._profile_begin()
         by_id = {client.client_id: client for client in participants}
-        payloads, bytes_broadcast = self._broadcast_payloads(participants, server)
-        payload_by_id = dict(zip(by_id, payloads))
+        broadcasts = self._broadcasts(participants, server)
         outcomes = {cid: ClientOutcome(cid) for cid in by_id}
         # A coordinator-side client changes only when its result is
         # applied, so it is pickled at most once and a retry ships the same
@@ -1023,7 +1027,7 @@ class ParallelExecutor(RoundExecutor):
         compute_dtype = active_compute_dtype()
         # The worker's packed update doubles as its wire payload unless a
         # Byzantine attack detached the update from those bytes; without
-        # wire faults only their size is billed.
+        # wire faults nothing reads them.
         reuse_payload = self.byzantine is None or not self._wire_faults
         deadline = None if self.round_timeout is None else monotonic() + self.round_timeout
         # Clients owed a result: the attempt to resume from, and the verdict
@@ -1074,11 +1078,12 @@ class ParallelExecutor(RoundExecutor):
                 if cid not in pickled:
                     pickled[cid] = self._pickle_client(by_id[cid])
                 kill = step.kind == "worker_death"
+                payload, broadcast_bytes = broadcasts[cid]
                 try:
                     future = self._ensure_pool().submit(
                         _worker_run_client,
                         pickled[cid],
-                        payload_by_id[cid],
+                        payload,
                         compute_dtype,
                         kill,
                     )
@@ -1087,6 +1092,9 @@ class ParallelExecutor(RoundExecutor):
                     queue.appendleft((cid, attempt, None))
                     broken = True
                     break
+                # Every shipped task is a broadcast, as every attempt that
+                # trains in-process is one.
+                outcomes[cid].bytes_broadcast += broadcast_bytes
                 running[future] = (cid, attempt, kill, monotonic())
             if running and not broken:
                 oldest = next(iter(running))
@@ -1160,7 +1168,7 @@ class ParallelExecutor(RoundExecutor):
             ) from fatal[cid]
         # Every result has been applied to its coordinator-side client;
         # hand the cohort's state back to the registry store in one sweep.
-        execution = RoundExecution(bytes_broadcast=bytes_broadcast)
+        execution = RoundExecution()
         for client in participants:
             self._release_collected(client)
             execution.record(outcomes[client.client_id])

@@ -17,18 +17,16 @@ training number:
   generators, CIP ``extra``, wire residuals) lives in a pluggable
   :class:`StateStore` keyed by client id;
 * :meth:`ClientRegistry.checkout` materializes a client on demand — build
-  from the factory, rehydrate from the store, apply the current
-  learning-rate schedule — and :meth:`ClientRegistry.release` captures its
-  state back and drops the object.
+  from the factory, rehydrate from the store — and
+  :meth:`ClientRegistry.release` captures its state back and drops the
+  object.
 
 **Bit-identity contract.**  A checkout/release round trip is bit-identical
 to keeping the object alive: ``get_mutable_state``/``set_mutable_state``
 already round-trip every evolving field (that is what the process backend
 ships to workers), cold clients derive their initial state purely from
 ``(seed, client_id)`` via the factory, and the store never touches array
-bytes.  The learning rate is re-applied *after* state restore because the
-optimizer's state dict carries the lr it was captured with, which a later
-schedule step may have superseded.
+bytes.
 
 **Stores.**  :class:`InMemoryStateStore` keeps every dirty state resident
 (exact, simple); :class:`LRUStateStore` bounds residency to ``capacity``
@@ -385,9 +383,6 @@ class ClientRegistry:
         self.spec = dict(spec or {})
         self._live: Optional[Dict[int, FLClient]] = None  # eager mode only
         self._checked_out: Dict[int, FLClient] = {}
-        #: Learning rate currently in effect from the simulation's schedule
-        #: (``None`` until the first step — clients keep their config lr).
-        self.schedule_lr: Optional[float] = None
         #: Telemetry: high-water mark of simultaneously live clients and the
         #: total number of factory materializations.
         self.max_live = 0
@@ -490,8 +485,6 @@ class ClientRegistry:
             )
         if state is not None:
             client.set_mutable_state(state)
-        if self.schedule_lr is not None:
-            client.set_lr(self.schedule_lr)
         self.materialized_total += 1
         return client
 
@@ -540,23 +533,6 @@ class ClientRegistry:
         return self._materialize(
             client_id, state.clone() if state is not None else None
         )
-
-    # -- schedule plumbing -------------------------------------------------
-    def set_lr(self, lr: float) -> None:
-        """Adopt a new schedule learning rate for the whole population.
-
-        Eager mode applies it to every live client immediately (the
-        historical loop); virtual mode records it and applies it at each
-        materialization — cold or rehydrated — which is equivalent because
-        no client trains between releases.
-        """
-        self.schedule_lr = float(lr)
-        if self._live is not None:
-            for client in self._live.values():
-                client.set_lr(lr)
-        else:
-            for client in self._checked_out.values():
-                client.set_lr(lr)
 
     # -- accounting --------------------------------------------------------
     def resident_bytes(self) -> int:

@@ -20,15 +20,14 @@ compose:
 
 from __future__ import annotations
 
-import inspect
 import logging
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import ScreeningConfig
-from repro.fl.aggregation import Aggregator, ShardAggregator, make_aggregator
+from repro.fl.aggregation import Aggregator, make_aggregator
 from repro.fl.client import ClientUpdate, ModelFactory
 from repro.fl.robust import ScreeningReport, screen_updates
 from repro.nn.layers import Module
@@ -46,33 +45,13 @@ def _flatten_state(state: StateDict) -> np.ndarray:
     )
 
 
-def _accepts_staleness(aggregator: Callable[..., StateDict]) -> bool:
-    """True when ``aggregator`` can take a ``staleness=`` keyword.
-
-    Registry-built aggregators all accept it; user-supplied callables may
-    predate the knob, so the server only forwards staleness weights when the
-    signature says they are understood.
-    """
-    try:
-        parameters = inspect.signature(aggregator).parameters
-    except (TypeError, ValueError):
-        return False
-    if "staleness" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
 class FLServer:
     """Parameter server with pluggable (optionally Byzantine-robust)
     aggregation and optional update screening.
 
     ``aggregator`` is a name from :data:`repro.core.config.AGGREGATORS`
     (options via ``aggregator_options``, see
-    :func:`repro.fl.aggregation.make_aggregator`) or an already-bound
-    callable ``(states, weights=None, reference=None) -> StateDict``.
+    :func:`repro.fl.aggregation.make_aggregator`).
     ``screening=None`` (default) trusts every update, preserving the paper's
     behaviour.
     """
@@ -80,7 +59,7 @@ class FLServer:
     def __init__(
         self,
         model_factory: ModelFactory,
-        aggregator: Union[str, Aggregator] = "fedavg",
+        aggregator: str = "fedavg",
         aggregator_options: Optional[Dict[str, object]] = None,
         screening: Optional[ScreeningConfig] = None,
         gate_aggregate: bool = False,
@@ -104,41 +83,10 @@ class FLServer:
         self.last_gate: Dict[int, str] = {}
         self.set_aggregator(aggregator, **(aggregator_options or {}))
 
-    def set_aggregator(
-        self, aggregator: Union[str, Aggregator], **options: object
-    ) -> None:
-        """Swap the aggregation rule (by registry name or bound callable).
-
-        Registry names accept two topology options on top of the rule's own
-        knobs: ``shards`` (> 1 routes the rule through a hierarchical
-        :class:`~repro.fl.aggregation.ShardAggregator` tree) and
-        ``region_fanout`` (optional region tier between the edge shards and
-        the root).  Sharded FedAvg stays bit-identical to flat FedAvg; the
-        robust rules apply shard-locally (see :class:`ShardAggregator`).
-        """
-        if callable(aggregator):
-            if options:
-                raise ValueError("options only apply to aggregator names")
-            self.aggregator_name = getattr(aggregator, "__name__", "custom")
-            self._aggregate = aggregator
-        else:
-            shards = int(options.pop("shards", 1) or 1)
-            region_fanout = options.pop("region_fanout", None)
-            if shards > 1:
-                sharded = ShardAggregator(
-                    rule=aggregator,
-                    shards=shards,
-                    region_fanout=region_fanout,
-                    **options,
-                )
-                self.aggregator_name = sharded.__name__
-                self._aggregate = sharded
-            else:
-                if region_fanout is not None:
-                    raise ValueError("region_fanout requires shards > 1")
-                self.aggregator_name = aggregator
-                self._aggregate = make_aggregator(aggregator, **options)
-        self._aggregate_accepts_staleness = _accepts_staleness(self._aggregate)
+    def set_aggregator(self, aggregator: str, **options: object) -> None:
+        """Swap the aggregation rule by registry name, binding its options."""
+        self._aggregate: Aggregator = make_aggregator(aggregator, **options)
+        self.aggregator_name = aggregator
 
     @property
     def round(self) -> int:
@@ -178,8 +126,8 @@ class FLServer:
         (missing clients default to ``1.0``, i.e. fresh).  The mapping is
         forwarded to staleness-aware robust aggregators so selection rules
         (median / trimmed mean / Krum) can discount lag-decayed states that
-        would otherwise masquerade as geometrically central; aggregators
-        without the keyword simply never see it.
+        would otherwise masquerade as geometrically central; ``fedavg``
+        ignores it.
 
         With ``gate_aggregate`` enabled, the merged global state must be
         finite and within ``gate_norm_multiplier`` times the median accepted
@@ -243,7 +191,7 @@ class FLServer:
         staleness: Optional[Dict[int, float]],
     ) -> StateDict:
         kwargs: Dict[str, object] = {}
-        if staleness is not None and self._aggregate_accepts_staleness:
+        if staleness is not None:
             kwargs["staleness"] = [
                 float(staleness.get(update.client_id, 1.0)) for update in accepted
             ]

@@ -31,7 +31,6 @@ from repro.fl.registry import ClientRegistry
 from repro.fl.server import FLServer
 from repro.fl.training import evaluate_model
 from repro.nn.diagnostics import OpStat
-from repro.nn.optim import StepDecaySchedule
 from repro.nn.serialization import clone_state_dict
 from repro.utils.logging import get_logger
 from repro.utils.timer import Stopwatch
@@ -248,7 +247,6 @@ class FederatedSimulation:
         eval_dataset: Optional[Dataset] = None,
         eval_every: int = 0,
         snapshot_rounds: Sequence[int] = (),
-        lr_schedule: Optional[StepDecaySchedule] = None,
         clients_per_round: Optional[int] = None,
         sampling_seed: Optional[int] = None,
         executor: Optional[RoundExecutor] = None,
@@ -289,7 +287,6 @@ class FederatedSimulation:
         self.eval_dataset = eval_dataset
         self.eval_every = eval_every
         self.snapshot_rounds = set(snapshot_rounds)
-        self.lr_schedule = lr_schedule
         self.clients_per_round = clients_per_round
         self._sampling_rng = np.random.default_rng(sampling_seed)
         self.executor = executor if executor is not None else SequentialExecutor()
@@ -442,9 +439,6 @@ class FederatedSimulation:
                     global_state_after=clone_state_dict(after),
                 )
             )
-
-        if self.lr_schedule is not None:
-            self.registry.set_lr(self.lr_schedule.step())
 
         if (
             self.eval_dataset is not None

@@ -12,7 +12,6 @@ from repro.metrics.distribution import (
     LossHistogram,
     loss_histogram,
     overlap_coefficient,
-    render_ascii_histogram,
     separability_gap,
 )
 
@@ -29,5 +28,4 @@ __all__ = [
     "loss_histogram",
     "overlap_coefficient",
     "separability_gap",
-    "render_ascii_histogram",
 ]

@@ -60,21 +60,3 @@ def overlap_coefficient(
 def separability_gap(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> float:
     """Mean non-member loss minus mean member loss (the raw MI signal)."""
     return float(np.mean(nonmember_losses) - np.mean(member_losses))
-
-
-def render_ascii_histogram(hist: LossHistogram, width: int = 50) -> str:
-    """Terminal rendering of Figure-1-style densities (● member, ○ non-member)."""
-    peak = max(hist.member_density.max(), hist.nonmember_density.max(), 1e-12)
-    lines = []
-    for center, m_density, n_density in zip(
-        hist.bin_centers, hist.member_density, hist.nonmember_density
-    ):
-        m_col = int(round(m_density / peak * width))
-        n_col = int(round(n_density / peak * width))
-        row = [" "] * (width + 1)
-        if n_col < len(row):
-            row[n_col] = "○"
-        if m_col < len(row):
-            row[m_col] = "●" if row[m_col] == " " else "◉"
-        lines.append(f"{center:8.3f} |{''.join(row)}")
-    return "\n".join(lines)

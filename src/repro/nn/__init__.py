@@ -20,10 +20,8 @@ from repro.nn import diagnostics
 from repro.nn.diagnostics import debug_mode, gradcheck, profile_ops
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Identity,
@@ -43,7 +41,7 @@ from repro.nn.losses import (
     nll_loss,
     per_sample_cross_entropy,
 )
-from repro.nn.optim import SGD, Adam, Optimizer, StepDecaySchedule
+from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.serialization import (
     clone_state_dict,
     load_state_dict,
@@ -71,7 +69,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "Conv2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
     "Tanh",
@@ -80,7 +77,6 @@ __all__ = [
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",
-    "Dropout",
     "Identity",
     "Sequential",
     "cross_entropy",
@@ -91,7 +87,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "StepDecaySchedule",
     "save_state_dict",
     "load_state_dict",
     "clone_state_dict",

@@ -530,8 +530,8 @@ def gradcheck(
     output (any shape); gradients are checked for every input with
     ``requires_grad``.  Non-scalar outputs are reduced with a fixed random
     projection so every output element influences the check.  ``fn`` must
-    be deterministic — stochastic ops (dropout) should construct their RNG
-    inside ``fn`` from a fixed seed.
+    be deterministic — a stochastic op should construct its RNG inside
+    ``fn`` from a fixed seed.
 
     The numerical gradient is always computed on float64 copies of the
     inputs (central differences in float32 drown in rounding error); the

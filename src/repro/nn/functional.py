@@ -29,7 +29,6 @@ PROFILED_OPS = (
     "avg_pool2d",
     "log_softmax",
     "softmax",
-    "dropout",
 )
 
 
@@ -286,22 +285,6 @@ def one_hot(
     )
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: scales at train time so inference is identity."""
-    if not training or rate <= 0.0:
-        return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    keep = 1.0 - rate
-    # Mask in the input's dtype: a float64 mask would upcast float32 data.
-    mask = ((rng.random(x.shape) < keep) / keep).astype(x.data.dtype, copy=False)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
-
-    return x._make(x.data * mask, (x,), backward, "dropout")
 
 
 # Wrap the profiled entry points once, at module-definition time, so every

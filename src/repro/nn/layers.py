@@ -305,41 +305,6 @@ class BatchNorm2d(Module):
         return normalized * scale + shift
 
 
-class BatchNorm1d(Module):
-    """Batch normalization for (N, F) inputs (used by the Purchase MLP)."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.weight = Parameter(initializers.ones((num_features,)))
-        self.bias = Parameter(initializers.zeros((num_features,)))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError("BatchNorm1d expects (N, F) input")
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            var = ((x - mean) * (x - mean)).mean(axis=0, keepdims=True)
-            self._set_buffer(
-                "running_mean",
-                (1 - self.momentum) * self.running_mean + self.momentum * mean.data.reshape(-1),
-            )
-            self._set_buffer(
-                "running_var",
-                (1 - self.momentum) * self.running_var + self.momentum * var.data.reshape(-1),
-            )
-            normalized = (x - mean) / (var + self.eps).sqrt()
-        else:
-            normalized = (x - self.running_mean) * (
-                1.0 / np.sqrt(self.running_var + self.eps)
-            )
-        return normalized * self.weight + self.bias
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
@@ -385,16 +350,6 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
-
-
-class Dropout(Module):
-    def __init__(self, rate: float, seed: SeedLike = None) -> None:
-        super().__init__()
-        self.rate = rate
-        self._rng = as_generator(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self._rng, training=self.training)
 
 
 class Identity(Module):

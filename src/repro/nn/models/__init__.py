@@ -10,7 +10,6 @@ from repro.nn.models.mlp import MLPBackbone, MLP
 from repro.nn.models.vgg import MiniVGGBackbone
 from repro.nn.models.resnet import MiniResNetBackbone
 from repro.nn.models.densenet import MiniDenseNetBackbone
-from repro.nn.models.vit import MiniViTBackbone, PatchEmbedding
 from repro.nn.models.heads import (
     SingleChannelClassifier,
     DualChannelClassifier,
@@ -23,8 +22,6 @@ __all__ = [
     "MiniVGGBackbone",
     "MiniResNetBackbone",
     "MiniDenseNetBackbone",
-    "MiniViTBackbone",
-    "PatchEmbedding",
     "SingleChannelClassifier",
     "DualChannelClassifier",
     "build_backbone",

@@ -16,7 +16,6 @@ from repro.nn.models.heads import DualChannelClassifier, SingleChannelClassifier
 from repro.nn.models.mlp import MLPBackbone
 from repro.nn.models.resnet import MiniResNetBackbone
 from repro.nn.models.vgg import MiniVGGBackbone
-from repro.nn.models.vit import MiniViTBackbone
 from repro.utils.rng import SeedLike, derive_rng
 
 BackboneBuilder = Callable[..., Module]
@@ -25,7 +24,6 @@ BACKBONES: Dict[str, BackboneBuilder] = {
     "resnet": MiniResNetBackbone,
     "densenet": MiniDenseNetBackbone,
     "vgg": MiniVGGBackbone,
-    "vit": MiniViTBackbone,
     "mlp": MLPBackbone,
 }
 

@@ -169,40 +169,3 @@ class Adam(Optimizer):
         self._m = self._load_slots(state.get("m", {}))
         self._v = self._load_slots(state.get("v", {}))
         self._step_count = int(state.get("step_count", 0))
-
-
-class StepDecaySchedule:
-    """Piecewise-constant learning-rate decay.
-
-    The paper trains local models with a decaying learning rate of
-    1e-3 -> 5e-4 -> 1e-4; this schedule reproduces that pattern: the i-th
-    milestone switches the optimizer to ``rates[i + 1]``.
-    """
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        rates: Sequence[float],
-        milestones: Sequence[int],
-    ) -> None:
-        if len(rates) != len(milestones) + 1:
-            raise ValueError("need exactly one more rate than milestones")
-        if list(milestones) != sorted(milestones):
-            raise ValueError("milestones must be increasing")
-        self.optimizer = optimizer
-        self.rates = list(rates)
-        self.milestones = list(milestones)
-        self._round = 0
-        optimizer.set_lr(self.rates[0])
-
-    def step(self) -> float:
-        """Advance one round; returns the learning rate now in effect."""
-        self._round += 1
-        stage = sum(1 for m in self.milestones if self._round >= m)
-        lr = self.rates[stage]
-        self.optimizer.set_lr(lr)
-        return lr
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr

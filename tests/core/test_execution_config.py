@@ -197,6 +197,25 @@ class TestEngineConfig:
         assert executor.name == "async"
         assert executor.config == config
 
+    def test_the_execution_config_binds_the_servers_rule(self):
+        from repro.experiments import common
+        from repro.fl.server import FLServer
+        from repro.nn.models import build_model
+
+        assert ExecutionConfig().aggregator_options == {}
+        trimmed = ExecutionConfig(aggregator="trimmed_mean", trim_fraction=0.2)
+        assert trimmed.aggregator_options == {"trim_fraction": 0.2}
+        config = ExecutionConfig(aggregator="krum", krum_byzantine=1)
+        assert config.aggregator_options == {"num_byzantine": 1}
+        server = FLServer(lambda: build_model("mlp", 3, in_features=4, hidden=(4,), seed=0))
+        previous = common.get_execution_config()
+        common.set_execution_config(config)
+        try:
+            common.configure_server_robustness(server)
+        finally:
+            common.set_execution_config(previous)
+        assert server.aggregator_name == "krum"
+
 
 class TestDocumentedCommands:
     def test_commands_were_found(self):

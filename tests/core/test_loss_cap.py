@@ -92,7 +92,7 @@ class TestLossCap:
         trainer = CIPTrainer(
             model, perturbation, SGD(model.parameters(), lr=0.05, momentum=0.9), config=config
         )
-        trainer.train(data, epochs=10, batch_size=16, seed=0)
-        assert all(np.isfinite(l) for l in trainer.history.model_losses)
+        losses = trainer.train(data, epochs=10, batch_size=16, seed=0)
+        assert all(np.isfinite(l) for l in losses)
         for param in model.parameters():
             assert np.isfinite(param.data).all()

@@ -53,7 +53,6 @@ CLI_SURFACE = [
     (('--qsgd-levels',), 'qsgd_levels', 16, 'int', None, '_StoreAction'),
     (('--population',), 'population', None, 'int', None, '_StoreAction'),
     (('--cohort-fraction',), 'cohort_fraction', None, 'float', None, '_StoreAction'),
-    (('--shards',), 'shards', 1, 'int', None, '_StoreAction'),
     (('--state-store',), 'state_store', 'memory', None, ('memory', 'lru'), '_StoreAction'),
     (('--state-cache-size',), 'state_cache_size', 64, 'int', None, '_StoreAction'),
     (('--aggregator',), 'aggregator', 'fedavg', None,
@@ -122,7 +121,6 @@ DEFAULT_CONFIG = {
     "checkpoint": {"directory": None, "every": 1, "keep": 3},
     "population": None,
     "cohort_fraction": None,
-    "shards": 1,
     "state_store": "memory",
     "state_cache_size": 64,
 }

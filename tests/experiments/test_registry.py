@@ -90,24 +90,3 @@ class TestResults:
     def test_format_empty_table(self):
         result = ExperimentResult("e", "empty", ["col"])
         assert "col" in format_table(result)
-
-    def test_render_ascii_series(self):
-        from repro.experiments import render_ascii_series
-
-        result = ExperimentResult("figx", "demo", ["alpha", "acc", "defense"])
-        result.add_row(alpha=0.1, acc=0.9, defense="none")
-        result.add_row(alpha=0.9, acc=0.5, defense="none")
-        result.add_row(alpha=0.1, acc=0.52, defense="cip")
-        text = render_ascii_series(result, "alpha", "acc", group_column="defense")
-        assert "[defense=none]" in text
-        assert "0.900" in text
-        # the largest value gets the longest bar
-        none_bar = next(l for l in text.splitlines() if "0.900" in l)
-        cip_bar = next(l for l in text.splitlines() if "0.520" in l)
-        assert none_bar.count("#") > cip_bar.count("#")
-
-    def test_render_ascii_series_empty(self):
-        from repro.experiments import render_ascii_series
-
-        result = ExperimentResult("figy", "demo", ["x", "y"])
-        assert "no numeric rows" in render_ascii_series(result, "x", "y")

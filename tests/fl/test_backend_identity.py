@@ -44,6 +44,7 @@ from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.backend import use_compute_dtype
 from repro.nn.models import build_model
+from repro.nn.tensor import Tensor
 from repro.utils.rng import derive_rng
 
 #: Final-global-state digest of the reference simulation below, computed on
@@ -210,16 +211,27 @@ class _RecordingBatchedExecutor(BatchedExecutor):
 
 
 def _assert_bitwise(a, b, where="state"):
-    """Recursive equality: arrays by dtype, shape and bytes, generators by state."""
+    """Recursive equality: arrays by dtype, shape and bytes, generators by
+    state, tensors by data (``grad`` is scratch that every step clears
+    first), any other object attribute by attribute."""
+    assert type(a) is type(b), where
     if isinstance(a, dict):
         assert a.keys() == b.keys(), where
         for key in a:
             _assert_bitwise(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for index, (x, y) in enumerate(zip(a, b)):
+            _assert_bitwise(x, y, f"{where}[{index}]")
     elif isinstance(a, np.ndarray):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), where
         assert np.array_equal(a, b), where
     elif isinstance(a, np.random.Generator):
         assert a.bit_generator.state == b.bit_generator.state, where
+    elif isinstance(a, Tensor):
+        _assert_bitwise(a.data, b.data, f"{where}.data")
+    elif hasattr(a, "__dict__"):
+        _assert_bitwise(vars(a), vars(b), where)
     else:
         assert a == b, where
 
@@ -244,8 +256,11 @@ class TestStackedCIP:
     batched engine, bitwise equal to the sequential per-client path: the
     global state, every round's train losses, and each client's whole
     mutable state (``t``, the perturbation optimizer, the momentum slots,
-    the RNG stream) and loss history.  Every test also asserts that the
-    group really stacked, so a silent per-client fallback cannot pass."""
+    the RNG stream).  Every test also asserts that the group really
+    stacked, so a silent per-client fallback cannot pass.  The live runs
+    add the process engine and compare every attribute of each
+    coordinator-side client, so a field that a worker trains and does not
+    send back fails by name."""
 
     @staticmethod
     def _run_live(executor, cip):
@@ -255,13 +270,7 @@ class TestStackedCIP:
         server = FLServer(_cip_mlp_factory)
         with FederatedSimulation(server, clients, executor=executor) as sim:
             history = sim.run(2)
-        states = {
-            client.client_id: dict(
-                vars(client.get_mutable_state()), history=vars(client._trainer.history)
-            )
-            for client in clients
-        }
-        return server.global_state(), history.train_losses, states
+        return server.global_state(), history.train_losses, clients
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("cip", _CIP_SWEEP.values(), ids=_CIP_SWEEP.keys())
@@ -269,11 +278,14 @@ class TestStackedCIP:
         batched = _RecordingBatchedExecutor()
         with use_compute_dtype(dtype):
             seq_state, seq_losses, seq_clients = self._run_live(SequentialExecutor(), cip)
-            bat_state, bat_losses, bat_clients = self._run_live(batched, cip)
+            for name, executor in (
+                ("batched", batched), ("process", ParallelExecutor(num_workers=2))
+            ):
+                state, losses, clients = self._run_live(executor, cip)
+                _assert_bitwise(seq_state, state, f"{name}.global")
+                assert seq_losses == losses, name
+                _assert_bitwise(seq_clients, clients, f"{name}.clients")
         assert batched.stacked == [[0, 1, 2]] * 2
-        _assert_bitwise(seq_state, bat_state, "global")
-        assert seq_losses == bat_losses
-        _assert_bitwise(seq_clients, bat_clients, "clients")
 
     @staticmethod
     def _run_cohort(executor, spill_dir):

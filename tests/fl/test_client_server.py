@@ -45,11 +45,6 @@ class TestClient:
             client.model.state_dict()["backbone.body.layer0.weight"], 0.0
         )
 
-    def test_set_lr(self, dataset):
-        client = FLClient(0, dataset, factory, seed=1)
-        client.set_lr(0.123)
-        assert client._optimizer.lr == 0.123
-
     def test_evaluate(self, dataset):
         client = FLClient(0, dataset, factory, seed=1)
         result = client.evaluate_train()
@@ -136,23 +131,25 @@ class TestServer:
 
     def test_parallel_payloads_are_per_client_under_hook(self, dataset):
         from repro.fl.executor import ParallelExecutor
-        from repro.nn.serialization import unpack_state_dict
+        from repro.nn.serialization import state_dict_nbytes, unpack_state_dict
 
         clients = [FLClient(i, dataset, factory, seed=i) for i in range(3)]
         executor = ParallelExecutor(num_workers=1)
         try:
             server = FLServer(factory)
-            # No hook: one shared packed buffer for every participant.
-            shared, shared_bytes = executor._broadcast_payloads(clients, server)
-            assert all(payload is shared[0] for payload in shared)
-            assert shared_bytes == len(shared[0]) * len(clients)
+            # No hook: one shared packed buffer for every participant, each
+            # billed the dense bytes of the global state.
+            shared = executor._broadcasts(clients, server)
+            assert all(shared[i][0] is shared[0][0] for i in range(3))
+            dense = state_dict_nbytes(server.global_state())
+            assert all(shared[i][1] == dense for i in range(3))
 
             def hook(round_index, client_id, state):
                 return {k: v + float(client_id) for k, v in state.items()}
 
             server.broadcast_hook = hook
-            tampered, _ = executor._broadcast_payloads(clients, server)
-            states = [unpack_state_dict(payload) for payload in tampered]
+            tampered = executor._broadcasts(clients, server)
+            states = [unpack_state_dict(tampered[i][0]) for i in range(3)]
             key = "backbone.body.layer0.bias"
             np.testing.assert_allclose(states[1][key], states[0][key] + 1.0)
             np.testing.assert_allclose(states[2][key], states[0][key] + 2.0)

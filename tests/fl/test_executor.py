@@ -228,14 +228,18 @@ class TestRoundMetrics:
             assert metrics.bytes_aggregated > 0
         assert history.mean_round_seconds() > 0
 
-    def test_parallel_metrics_use_packed_sizes(self, tiny_vector_dataset):
+    def test_parallel_metrics_bill_sequential_bytes(self, tiny_vector_dataset):
         _, history = _run_federation(
             tiny_vector_dataset, ParallelExecutor(num_workers=2), rounds=1
         )
-        metrics = history.round_metrics[0]
+        _, reference = _run_federation(
+            tiny_vector_dataset, SequentialExecutor(), rounds=1
+        )
+        metrics, expected = history.round_metrics[0], reference.round_metrics[0]
         assert metrics.backend == "process"
         assert metrics.bytes_broadcast > 0
-        assert metrics.bytes_aggregated > 0
+        for field in ("bytes_broadcast", "bytes_aggregated", "bytes_aggregated_dense"):
+            assert getattr(metrics, field) == getattr(expected, field), field
 
 
 class TestSerialization:

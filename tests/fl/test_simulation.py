@@ -9,7 +9,6 @@ from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.training import evaluate_model
 from repro.nn.models import build_model
-from repro.nn.optim import SGD, StepDecaySchedule
 
 
 def factory():
@@ -79,14 +78,6 @@ class TestSimulation:
         sim.run(3)
         series = sim.history.client_loss_series(1)
         assert series.shape == (3,)
-
-    def test_lr_schedule_applied(self, tiny_vector_dataset):
-        sim = build_sim(tiny_vector_dataset)
-        pilot = SGD([factory().parameters()[0]], lr=1.0)
-        schedule = StepDecaySchedule(pilot, rates=[1e-1, 1e-2], milestones=[2])
-        sim.lr_schedule = schedule
-        sim.run(3)
-        assert all(c._optimizer.lr == 1e-2 for c in sim.clients)
 
     def test_requires_clients(self, tiny_vector_dataset):
         with pytest.raises(ValueError):

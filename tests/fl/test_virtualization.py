@@ -1,4 +1,4 @@
-"""Client virtualization and sharded hierarchical aggregation.
+"""Client virtualization.
 
 The acceptance contract of the scaling layer (see ``repro.fl.registry``
 and DESIGN.md's scaling section):
@@ -7,8 +7,6 @@ and DESIGN.md's scaling section):
   sampled cohorts, on every execution backend;
 * state-store evict/rehydrate is bit-identical — CIP perturbation state,
   SGD momentum, and top-k wire residuals all survive a disk round-trip;
-* sharded hierarchical FedAvg reproduces flat FedAvg bitwise; robust
-  rules apply shard-locally and still run end to end;
 * sparse id spaces (ids nowhere near contiguous) work through rounds,
   history, and evaluation;
 * virtualized checkpoint/resume — including spilled states — is
@@ -26,7 +24,6 @@ import pytest
 from repro.core.cip_client import CIPClient
 from repro.core.config import CheckpointConfig, CIPConfig, FaultConfig
 from repro.data.partition import partition_iid
-from repro.fl.aggregation import ShardAggregator, fedavg, shard_partition
 from repro.fl.client import ClientConfig, FLClient
 from repro.fl.executor import make_executor
 from repro.fl.registry import (
@@ -109,61 +106,6 @@ def _assert_mutable_states_equal(a, b):
                 ), (key, pkey)
         else:
             assert value == other, key
-
-
-class TestShardAggregation:
-    def test_shard_partition_covers_and_balances(self):
-        assert shard_partition(10, 3) == [(0, 4), (4, 7), (7, 10)]
-        assert shard_partition(4, 1) == [(0, 4)]
-        # More shards than members: clamp, never emit an empty shard.
-        assert shard_partition(3, 8) == [(0, 1), (1, 2), (2, 3)]
-        with pytest.raises(ValueError):
-            shard_partition(0, 2)
-
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    def test_sharded_fedavg_is_bitwise_flat(self, shards):
-        rng = np.random.default_rng(0)
-        states = [
-            {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
-            for _ in range(7)
-        ]
-        weights = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
-        flat = fedavg(states, weights)
-        sharded = ShardAggregator("fedavg", shards=shards)(states, weights)
-        _assert_states_equal(flat, sharded)
-
-    def test_sharded_robust_rule_runs_shard_local(self):
-        rng = np.random.default_rng(1)
-        states = [{"w": rng.normal(size=(3,))} for _ in range(6)]
-        merged = ShardAggregator("median", shards=2)(states)
-        assert merged.keys() == {"w"}
-        assert np.all(np.isfinite(merged["w"]))
-        # Region tier: edge -> region -> root still produces a clean state.
-        tiered = ShardAggregator("median", shards=4, region_fanout=2)(states)
-        assert np.all(np.isfinite(tiered["w"]))
-
-    def test_server_shards_option(self):
-        server = FLServer(_mlp_factory)
-        server.set_aggregator("fedavg", shards=3)
-        assert "sharded" in server.aggregator_name
-        with pytest.raises(ValueError):
-            FLServer(_mlp_factory).set_aggregator("fedavg", region_fanout=2)
-
-    def test_sharded_simulation_matches_flat(self, tiny_vector_dataset):
-        digests = []
-        for shards in (1, 3):
-            factory = _client_factory(
-                _shard_map(tiny_vector_dataset, range(6))
-            )
-            registry = ClientRegistry(factory, population=6)
-            server = FLServer(_mlp_factory)
-            if shards > 1:
-                server.set_aggregator("fedavg", shards=shards)
-            with FederatedSimulation(server, registry=registry) as sim:
-                sim.run(2)
-            digests.append(_digest(server.global_state()))
-            registry.close()
-        assert digests[0] == digests[1]
 
 
 class TestRegistrySemantics:

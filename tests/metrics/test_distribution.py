@@ -6,7 +6,6 @@ import pytest
 from repro.metrics.distribution import (
     loss_histogram,
     overlap_coefficient,
-    render_ascii_histogram,
     separability_gap,
 )
 
@@ -53,9 +52,3 @@ class TestGapAndRendering:
     def test_separability_gap_sign(self):
         assert separability_gap(np.zeros(3), np.ones(3)) == 1.0
         assert separability_gap(np.ones(3), np.zeros(3)) == -1.0
-
-    def test_ascii_render_has_one_line_per_bin(self):
-        rng = np.random.default_rng(3)
-        hist = loss_histogram(rng.normal(size=50), rng.normal(2, 1, 50), bins=12)
-        text = render_ascii_histogram(hist)
-        assert len(text.splitlines()) == 12

@@ -138,26 +138,6 @@ class TestOneHotDropout:
         with pytest.raises(ValueError):
             F.one_hot(np.array([3]), 3)
 
-    def test_dropout_identity_at_eval(self):
-        rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(10,)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        np.testing.assert_allclose(out.data, x.data)
-
-    def test_dropout_scales_at_train(self):
-        rng = np.random.default_rng(9)
-        x = Tensor(np.ones(10000))
-        out = F.dropout(x, 0.5, rng, training=True)
-        # Inverted dropout keeps the expectation.
-        assert abs(out.data.mean() - 1.0) < 0.05
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, 2.0 * np.ones_like(kept))
-
-    def test_dropout_invalid_rate(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, rng)
-
 
 class TestIm2Col:
     def test_col2im_is_adjoint_of_im2col(self):

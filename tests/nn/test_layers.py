@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     Identity,
     Linear,
@@ -63,7 +61,7 @@ class TestModuleRegistration:
     def test_load_state_dict_missing_buffer(self):
         # Regression: missing buffers were silently ignored, so a restore
         # could keep stale BatchNorm running statistics.
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         state = bn.state_dict()
         del state["running_mean"]
         with pytest.raises(KeyError, match="running_mean"):
@@ -78,7 +76,7 @@ class TestModuleRegistration:
             layer.load_state_dict(state)
 
     def test_load_state_dict_non_strict_reports_keys(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         state = bn.state_dict()
         del state["running_var"]
         state["extra"] = np.zeros(3)
@@ -87,7 +85,7 @@ class TestModuleRegistration:
         assert result.unexpected_keys == ["extra"]
 
     def test_load_state_dict_buffer_shape_mismatch(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         state = bn.state_dict()
         state["running_mean"] = np.zeros(5)
         with pytest.raises(ValueError, match="running_mean"):
@@ -122,19 +120,19 @@ class TestModuleRegistration:
         assert "head" in module._parameters
 
     def test_setattr_array_assignment_updates_buffer(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         bn.running_mean = np.full(3, 2.5)
         assert "running_mean" in bn._buffers
         np.testing.assert_allclose(bn.state_dict()["running_mean"], 2.5)
 
     def test_setattr_non_array_removes_buffer(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         bn.running_mean = None
         assert "running_mean" not in bn._buffers
         assert "running_mean" not in bn.state_dict()
 
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2, seed=0), Dropout(0.5, seed=1))
+        model = Sequential(Linear(2, 2, seed=0), ReLU())
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -204,19 +202,6 @@ class TestBatchNorm2d:
         assert x.grad is not None
         assert bn.weight.grad is not None
         assert bn.bias.grad is not None
-
-
-class TestBatchNorm1d:
-    def test_normalizes(self):
-        bn = BatchNorm1d(4)
-        rng = np.random.default_rng(3)
-        x = rng.normal(3.0, 2.0, size=(32, 4))
-        out = bn(Tensor(x))
-        np.testing.assert_allclose(out.data.mean(axis=0), np.zeros(4), atol=1e-7)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            BatchNorm1d(4)(Tensor(np.zeros((2, 4, 4, 4))))
 
 
 class TestContainers:

@@ -1,11 +1,11 @@
-"""Optimizer behaviour: SGD, momentum, Adam, lr schedules."""
+"""Optimizer behaviour: SGD, momentum, Adam."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, StepDecaySchedule
+from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 
 
@@ -124,28 +124,3 @@ class TestPickling:
         copy.step()
         for param, twin in zip(optimizer.params, copy.params):
             assert np.array_equal(param.data, twin.data)
-
-
-class TestStepDecaySchedule:
-    def test_decays_at_milestones(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        schedule = StepDecaySchedule(opt, rates=[1e-3, 5e-4, 1e-4], milestones=[2, 4])
-        assert opt.lr == 1e-3
-        schedule.step()  # round 1
-        assert opt.lr == 1e-3
-        schedule.step()  # round 2 -> second rate
-        assert opt.lr == 5e-4
-        schedule.step()
-        schedule.step()  # round 4 -> third rate
-        assert opt.lr == 1e-4
-        schedule.step()
-        assert opt.lr == 1e-4
-
-    def test_validation(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        with pytest.raises(ValueError):
-            StepDecaySchedule(opt, rates=[1e-3], milestones=[1])
-        with pytest.raises(ValueError):
-            StepDecaySchedule(opt, rates=[1e-3, 1e-4, 1e-5], milestones=[4, 2])
