@@ -94,10 +94,12 @@ def configure_server_robustness(server) -> None:
 
     Keeps experiment code that builds its own :class:`FLServer` honest about
     the CLI's ``--aggregator``/``--screen-updates`` selection without every
-    call site repeating the option plumbing.
+    call site repeating the option plumbing.  Only an ``--aggregator`` other
+    than the default rebinds the server's rule, so a server built with its
+    own rule keeps it under the default flags.
     """
     config = _EXECUTION_CONFIG
-    if config.aggregator != getattr(server, "aggregator_name", "fedavg"):
+    if config.aggregator != ExecutionConfig.aggregator:
         server.set_aggregator(config.aggregator, **config.aggregator_options)
     # Where screening runs is decided here only: the async engine screens
     # each arrival at admission (a streaming window inside the executor), so

@@ -43,6 +43,14 @@ arrival mid-step waits for the next step boundary, so within one step each
 client delivers at most one update.  Crashed tasks return their client to
 the pool for the next step (a crash is terminal per task, not per client).
 
+**Check-out at dispatch.**  The engine receives the step's sampled ids and
+checks a client out of the bound registry only when it dispatches one of
+the client's tasks; once the task has run the client is released again
+(training is eager and the heap holds state dicts).  A virtual population
+therefore materializes exactly the dispatched clients, one at a time, and
+sampled clients the ``concurrency`` cap leaves waiting are never built and
+never enter the state store.
+
 **Faults** reuse the deterministic decision stream and attempt policy of
 the synchronous engines, keyed by the client's monotone *task counter* in
 place of the round index, so under a full-participation synchronous
@@ -76,7 +84,7 @@ import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.fl.aggregation import apply_delta, staleness_weight, state_delta
-from repro.fl.client import ClientUpdate, FLClient
+from repro.fl.client import ClientUpdate
 from repro.fl.executor import (
     ClientOutcome,
     RoundExecution,
@@ -151,9 +159,11 @@ class AsyncExecutor(RoundExecutor):
         self._free_at: Dict[int, float] = {}
 
     # -- one aggregation step -------------------------------------------
-    def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
-        if not participants:
+    def execute(self, participant_ids: Sequence[int], server) -> RoundExecution:
+        if not participant_ids:
             raise RoundExecutionError("async step needs at least one participant")
+        if len(set(participant_ids)) != len(participant_ids):
+            raise RoundExecutionError("participant client ids must be unique")
         version = server.round
         # The honest current global: the delta base for arriving updates
         # dispatched this step, the Byzantine and wire-codec reference, and
@@ -165,15 +175,12 @@ class AsyncExecutor(RoundExecutor):
             else None
         )
         profile_token = self._profile_begin()
-        by_id = {client.client_id: client for client in participants}
-        if len(by_id) != len(participants):
-            raise RoundExecutionError("participant client ids must be unique")
         in_flight_ids = {entry.client_id for _, _, entry in self._heap}
         queue = sorted(
-            (c for c in participants if c.client_id not in in_flight_ids),
-            key=lambda c: (self._free_at.get(c.client_id, 0.0), c.client_id),
+            (cid for cid in participant_ids if cid not in in_flight_ids),
+            key=lambda cid: (self._free_at.get(cid, 0.0), cid),
         )
-        cap = self.config.concurrency or len(by_id)
+        cap = self.config.concurrency or len(participant_ids)
 
         # ``results`` is the admitted buffer, in arrival order.
         execution = RoundExecution()
@@ -193,12 +200,6 @@ class AsyncExecutor(RoundExecutor):
             self._free_at[entry.client_id] = self._vclock
             execution.record(self._arrive(entry, version, current_global, execution))
 
-        # Every dispatched task already trained (training is eager; only
-        # arrival is deferred), so no client object is needed across steps —
-        # the heap holds state dicts, not clients.  Hand the whole cohort's
-        # mutable state back to the registry store.
-        for client in participants:
-            self._release_collected(client)
         execution.expected_participants = (
             len(execution.results)
             + len(execution.failures)
@@ -266,14 +267,15 @@ class AsyncExecutor(RoundExecutor):
     # -- task dispatch ---------------------------------------------------
     def _dispatch(
         self,
-        client: FLClient,
+        cid: int,
         server,
         version: int,
         current_global: StateDict,
         wire_reference: Optional[StateDict],
         execution: RoundExecution,
     ) -> None:
-        """Run one client task now; schedule its (virtual) arrival.
+        """Check client ``cid`` out, run its task now, release it, and
+        schedule the task's (virtual) arrival.
 
         Faults, Byzantine attacks and wire transmissions are keyed by the
         client's task counter.  A task that fails or is wire-quarantined
@@ -281,13 +283,18 @@ class AsyncExecutor(RoundExecutor):
         included, and its client is idle again once the task's virtual time
         has passed.
         """
-        cid = client.client_id
         task_index = self._task_count.get(cid, 0)
         self._task_count[cid] = task_index + 1
         start = max(self._vclock, self._free_at.get(cid, 0.0))
+        # ``checkout_many`` is every engine's one checkout call (perfbench
+        # traces it as ``registry.checkout``).
+        [client] = self.registry.checkout_many([cid])
         outcome = self._run_client(
             client, server, task_index, current_global, wire_reference
         )
+        # Training is eager and the heap holds state dicts, so nothing needs
+        # the client once its task has run.
+        self.registry.release(client)
         # The operand order is part of the replay contract: heap order (and
         # hence every digest) depends on these float sums.
         arrival = start + outcome.latency + self.config.client_latency + outcome.delay

@@ -443,18 +443,20 @@ class BatchedExecutor(SequentialExecutor):
 
     name = "batched"
 
-    def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
+    def execute(self, participant_ids: Sequence[int], server) -> RoundExecution:
+        try:
+            return super().execute(participant_ids, server)
+        finally:
+            # Hold no member past its round: a member's parameters are views
+            # of its group's stacked arrays and would keep all of them alive.
+            self._groups = {}
+
+    def _plan_round(self, participants: Sequence[FLClient]) -> None:
         # Retries and faults need the per-(round, client, attempt)
         # interleaving of the sequential engine, so tolerant rounds (any
         # configured FaultInjector, wire-only ones included) stack nothing
         # and run every client through the shared lifecycle.
         self._groups = {} if self._tolerant else self._plan_groups(participants)
-        try:
-            return super().execute(participants, server)
-        finally:
-            # Hold no member past its round: a member's parameters are views
-            # of its group's stacked arrays and would keep all of them alive.
-            self._groups = {}
 
     def _train(
         self, client: FLClient, server, key: int, reference, wire_reference

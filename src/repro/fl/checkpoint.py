@@ -12,9 +12,15 @@ persists everything its next round depends on:
 * the participant-sampling RNG state;
 * the full :class:`~repro.fl.simulation.FLHistory`.
 
+The client states are pickled as they are, never deep-copied first: the
+pickled body exists before :func:`save_checkpoint` returns, so nothing that
+trains afterwards can reach it.
+
 Virtualized populations (:class:`~repro.fl.registry.ClientRegistry`) store
 only the *dirty* client states — the state-store contents, hot tier and
-spilled files alike — plus the registry's spec digest and population size;
+spilled files alike, the spilled ones read from their files without
+loading them into the hot tier, so a save leaves the store exactly as it
+found it — plus the registry's spec digest and population size;
 cold clients re-derive their initial state from ``(seed, client_id)`` at
 materialization, so checkpoint size scales with the clients that have ever
 trained, not with the population.  Restores cross-check the spec digest and
@@ -118,9 +124,8 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
             "spill_manifest": registry.store.spill_manifest(),
         }
     else:
-        # clone(): the snapshot must not alias the clients' live RNGs.
         client_snapshot = {
-            client.client_id: client.get_mutable_state().clone()
+            client.client_id: client.get_mutable_state()
             for client in simulation.clients
         }
         registry_meta = None
@@ -153,6 +158,8 @@ def save_checkpoint(simulation, directory: str, keep: int = 0) -> str:
     }
     path = checkpoint_path(directory, round_index)
     tmp_path = path + ".tmp"
+    # The client states go in uncopied (live RNGs included): the body must
+    # capture their bytes here, before any further training touches them.
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     with open(tmp_path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)

@@ -80,10 +80,11 @@ class ClientMutableState:
 
         :meth:`FLClient.get_mutable_state` clones the array state but keeps
         *live references* to the client's RNG generators (the cheap choice
-        for the ship-to-worker path, where pickling isolates them anyway).
-        In-process consumers that hold a snapshot across further training —
-        the sequential executor's retry rollback, the checkpoint writer —
-        must clone it so the client's continued draws cannot mutate it.
+        for the ship-to-worker path and the checkpoint writer, which pickle
+        the snapshot at once).  In-process consumers that hold a snapshot
+        across further training — the executors' retry rollback, read-only
+        materialization — must clone it so the client's continued draws
+        cannot mutate it.
         """
         return copy.deepcopy(self)
 

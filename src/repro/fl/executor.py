@@ -21,7 +21,10 @@ differ only in how they *schedule* clients:
   arrivals from a virtual-clock heap.
 
 **One client lifecycle.**  Every engine runs the same per-client cycle.
-The pure attempt policy (:func:`attempt_step`) turns each injected
+An engine receives the round's sampled client ids and checks the clients
+out of the simulation's registry where it starts them: the synchronous
+engines at round start, the async engine at each dispatch.  The pure
+attempt policy (:func:`attempt_step`) turns each injected
 :class:`~repro.fl.faults.FaultDecision` into *train after virtual delay d*,
 *retry after virtual time t* or *fail(kind)*.  A train step broadcasts,
 runs ``local_update`` (rolling the client back to its pre-round snapshot if
@@ -730,38 +733,30 @@ class RoundExecutor(ABC):
         self.ledger.record_traffic(execution.bytes_broadcast, execution.bytes_aggregated)
         return execution
 
-    #: Client registry bound by the simulation (``None`` for standalone
-    #: executor use).  A *virtual* registry (see :mod:`repro.fl.registry`)
-    #: materializes only the sampled cohort; the engines hand members back
-    #: via :meth:`_release_collected` so their mutable state returns to the
-    #: state store (where it can be LRU-evicted or spilled) as soon as it is
-    #: no longer needed.
+    #: Client registry the participants are checked out of, bound by the
+    #: simulation (:meth:`bind_registry`).  Every engine checks its clients
+    #: out with ``checkout_many`` where it starts them and releases each
+    #: once its update is collected, so a *virtual* registry (see
+    #: :mod:`repro.fl.registry`) materializes only clients that train and
+    #: gets their mutable state back into its store (where it can be
+    #: LRU-evicted or spilled) as soon as it is no longer needed.  Releasing
+    #: is idempotent and a no-op on live-object registries; the simulation's
+    #: end-of-round ``release_all()`` sweep covers any client a failure left
+    #: checked out.
     registry = None
 
     def bind_registry(self, registry) -> None:
         """Attach the simulation's client registry (live or virtual)."""
         self.registry = registry
 
-    def _release_collected(self, client: FLClient) -> None:
-        """Return a cohort member's mutable state to the registry store.
-
-        No-op unless a virtual registry is bound: live-object populations
-        keep every client resident (the historical contract), and standalone
-        executor use has no registry at all.  Safe to call once per client —
-        the simulation's end-of-round ``release_all()`` sweep covers any
-        member an engine-specific path (failure, quarantine, timeout) left
-        checked out.
-        """
-        if self.registry is not None and self.registry.is_virtual:
-            self.registry.release(client)
-
     @abstractmethod
-    def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
-        """Run ``local_update`` for every participant, in participant order.
+    def execute(self, participant_ids: Sequence[int], server) -> RoundExecution:
+        """Check the participants out of the bound registry and run
+        ``local_update`` for every one, in participant order.
 
-        On return the surviving participant objects reflect their post-round
-        state, exactly as if they had trained in-process; dropped clients
-        keep their pre-round state.
+        On return the surviving participants' states reflect their
+        post-round state, exactly as if they had trained in-process; dropped
+        clients keep their pre-round state.
         """
 
     def export_state(self) -> Optional[Dict[str, object]]:
@@ -800,7 +795,9 @@ class SequentialExecutor(RoundExecutor):
 
     name = "sequential"
 
-    def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
+    def execute(self, participant_ids: Sequence[int], server) -> RoundExecution:
+        participants = self.registry.checkout_many(participant_ids)
+        self._plan_round(participants)
         key = server.round
         reference = self._byzantine_reference(server)
         wire_reference = self._wire_reference(server)
@@ -814,13 +811,16 @@ class SequentialExecutor(RoundExecutor):
             ):
                 outcomes[member.client_id] = outcome
                 # The member's update is collected, so its mutable state can
-                # go back to the store now: a virtual run holds at most one
-                # hot client (or stacked group) beyond the store's budget.
-                self._release_collected(member)
+                # go back to the store now.
+                self.registry.release(member)
         execution = RoundExecution()
         for client in participants:
             execution.record(outcomes[client.client_id])
         return self._finish_round(execution, len(participants), profile_token)
+
+    def _plan_round(self, participants: Sequence[FLClient]) -> None:
+        """Prepare the checked-out cohort before it trains (the batched
+        engine groups it here)."""
 
     def _train(
         self,
@@ -1000,7 +1000,7 @@ class ParallelExecutor(RoundExecutor):
                 f"cause); use the sequential backend instead: {exc!r}"
             ) from exc
 
-    def execute(self, participants: Sequence[FLClient], server) -> RoundExecution:
+    def execute(self, participant_ids: Sequence[int], server) -> RoundExecution:
         """Run the round on the pool, at most ``num_workers`` tasks at once.
 
         One loop waits for the first running task to finish.  Two events
@@ -1012,6 +1012,7 @@ class ParallelExecutor(RoundExecutor):
         all submissions, and once the running tasks drain the round raises
         for the earliest participant that failed.
         """
+        participants = self.registry.checkout_many(participant_ids)
         key = server.round
         tolerant = self._tolerant
         reference = self._byzantine_reference(server)
@@ -1170,7 +1171,7 @@ class ParallelExecutor(RoundExecutor):
         # hand the cohort's state back to the registry store in one sweep.
         execution = RoundExecution()
         for client in participants:
-            self._release_collected(client)
+            self.registry.release(client)
             execution.record(outcomes[client.client_id])
         return self._finish_round(execution, len(participants), profile_token)
 

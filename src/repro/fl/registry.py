@@ -19,7 +19,10 @@ training number:
 * :meth:`ClientRegistry.checkout` materializes a client on demand — build
   from the factory, rehydrate from the store — and
   :meth:`ClientRegistry.release` captures its state back and drops the
-  object.
+  object.  The round engines check their participants out where they
+  start them (the synchronous engines the whole cohort at round start, the
+  async engine one client per dispatched task) and release each once its
+  update is collected.
 
 **Bit-identity contract.**  A checkout/release round trip is bit-identical
 to keeping the object alive: ``get_mutable_state``/``set_mutable_state``
@@ -32,12 +35,15 @@ bytes.
 (exact, simple); :class:`LRUStateStore` bounds residency to ``capacity``
 states and spills the excess to disk via pickle — which round-trips numpy
 arrays and ``Generator`` objects bit-exactly — so resident bytes stay flat
-in the population size at a fixed cohort.
+in the population size at a fixed cohort.  :meth:`StateStore.peek` is a
+pure read: the checkpoint writer reads every dirty state through it,
+spilled ones straight from their files, and pickles them uncopied, so a
+save moves no state between tiers.
 
 A registry built with :meth:`ClientRegistry.from_clients` wraps an eager
 client list in the same interface with zero behavior change (checkout
-returns the live object, release is a no-op), so every consumer — the
-simulation, all four executors, the checkpointer — handles one code path.
+returns the live object, release is a no-op), so every consumer — all four
+executors, the checkpointer, evaluation — handles one code path.
 """
 
 from __future__ import annotations
@@ -112,7 +118,8 @@ class StateStore(ABC):
     @abstractmethod
     def peek(self, client_id: int) -> Optional[ClientMutableState]:
         """Return a client's snapshot without removing it (``None`` when
-        cold).  Callers must clone before mutating."""
+        cold).  A pure read: the store's contents, tiers and counters stay
+        as they are.  Callers must clone before mutating."""
 
     @abstractmethod
     def client_ids(self) -> List[int]:
@@ -132,14 +139,10 @@ class StateStore(ABC):
         return []
 
     def snapshot_all(self) -> Dict[int, ClientMutableState]:
-        """Deep-copied snapshots of every dirty client, rehydrating spilled
-        ones — the checkpoint writer's view."""
-        return {
-            cid: state.clone()
-            for cid in self.client_ids()
-            for state in (self.peek(cid),)
-            if state is not None
-        }
+        """Every dirty client's snapshot, read with :meth:`peek` — the
+        checkpoint writer's view.  The states are not copied: the writer
+        pickles them at once, and callers must not mutate them."""
+        return {cid: self.peek(cid) for cid in self.client_ids()}
 
     def load_snapshot(self, states: Dict[int, ClientMutableState]) -> None:
         """Replace the store contents with ``states`` (checkpoint restore)."""
@@ -238,11 +241,9 @@ class LRUStateStore(StateStore):
             self._resident_bytes -= mutable_state_nbytes(state)
             self.evictions += 1
 
-    def _load_spilled(self, client_id: int) -> ClientMutableState:
+    def _read_spilled(self, client_id: int) -> ClientMutableState:
         with open(self._spilled[client_id], "rb") as handle:
-            state = pickle.load(handle)
-        self.rehydrations += 1
-        return state
+            return pickle.load(handle)
 
     # -- StateStore API --------------------------------------------------
     def put(self, client_id: int, state: ClientMutableState) -> None:
@@ -262,25 +263,21 @@ class LRUStateStore(StateStore):
             self._resident_bytes -= mutable_state_nbytes(state)
             return state
         if client_id in self._spilled:
-            state = self._load_spilled(client_id)
+            state = self._read_spilled(client_id)
             self._remove_spill(client_id)
+            self.rehydrations += 1
             return state
         return None
 
     def peek(self, client_id: int) -> Optional[ClientMutableState]:
+        # A spilled state is read from its file and stays spilled: loading
+        # it into the hot tier would evict (and rewrite) another state, and
+        # refreshing recency would reorder the evictions to come.
         client_id = int(client_id)
         if client_id in self._hot:
-            self._hot.move_to_end(client_id)
             return self._hot[client_id]
         if client_id in self._spilled:
-            # Rehydrate into the hot tier (possibly evicting another state);
-            # the spill file is superseded by the in-memory copy.
-            state = self._load_spilled(client_id)
-            self._remove_spill(client_id)
-            self._hot[client_id] = state
-            self._resident_bytes += mutable_state_nbytes(state)
-            self._evict_excess()
-            return state
+            return self._read_spilled(client_id)
         return None
 
     def _remove_spill(self, client_id: int) -> None:
@@ -454,11 +451,9 @@ class ClientRegistry:
     def checkout(self, client_id: int) -> FLClient:
         """Materialize ``client_id`` for exclusive (training) use.
 
-        Virtual mode: build from the factory, move the dirty state (if any)
-        out of the store into the object, then apply the schedule's current
-        learning rate — *after* the restore, because the optimizer state
-        dict carries the lr it was captured with.  Eager mode: return the
-        live object.  Double checkout of the same id raises.
+        Virtual mode: build from the factory and move the dirty state (if
+        any) out of the store into the object.  Eager mode: return the live
+        object.  Double checkout of the same id raises.
         """
         client_id = int(client_id)
         self._check_known(client_id)

@@ -234,10 +234,11 @@ class FederatedSimulation:
     The population is either an eager client list (``clients=...``, the
     historical cross-silo mode: every client stays a live object) or a
     :class:`~repro.fl.registry.ClientRegistry` (``registry=...``, the
-    cross-device mode: only each round's sampled cohort is ever
-    materialized, dirty state lives in the registry's state store).  Both
-    run through the identical round path and produce bit-identical results
-    for the same sampled cohorts.
+    cross-device mode: the executor materializes only the clients it
+    trains, dirty state lives in the registry's state store).  Both run
+    through the identical round path and produce bit-identical results for
+    the same sampled cohorts.  The simulation samples the cohort as ids;
+    the executor checks the clients out.
     """
 
     def __init__(
@@ -362,8 +363,7 @@ class FederatedSimulation:
         participant_ids = self._select_participant_ids()
         try:
             with Stopwatch() as round_watch:
-                participants = self.registry.checkout_many(participant_ids)
-                execution = self.executor.execute(participants, self.server)
+                execution = self.executor.execute(participant_ids, self.server)
                 updates = execution.updates
                 # The executor already enforced its min_participation quorum;
                 # re-asserting it here guards the aggregation against any
@@ -373,7 +373,7 @@ class FederatedSimulation:
                 after = self.server.aggregate(
                     updates,
                     expected_participants=(
-                        len(participants)
+                        len(participant_ids)
                         if execution.expected_participants is None
                         else execution.expected_participants
                     ),
@@ -381,8 +381,9 @@ class FederatedSimulation:
                     staleness=execution.staleness_weights or None,
                 )
         finally:
-            # Executors release at their collection points; this sweep is
-            # the safety net (idempotent) and covers mid-round failures.
+            # Executors check their clients out and release them at their
+            # collection points; this sweep is the safety net (idempotent)
+            # and covers mid-round failures.
             self.registry.release_all()
         peak_rss, traced_peak = peak_memory_bytes()
         screening = self.server.last_screening

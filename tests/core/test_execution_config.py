@@ -216,6 +216,32 @@ class TestEngineConfig:
             common.set_execution_config(previous)
         assert server.aggregator_name == "krum"
 
+    def test_the_default_config_keeps_the_servers_own_rule(self):
+        from repro.experiments import common
+        from repro.fl.server import FLServer
+        from repro.nn.models import build_model
+
+        def build_server():
+            return FLServer(
+                lambda: build_model("mlp", 3, in_features=4, hidden=(4,), seed=0),
+                aggregator="median",
+            )
+
+        previous = common.get_execution_config()
+        try:
+            kept = build_server()
+            common.set_execution_config(ExecutionConfig())
+            common.configure_server_robustness(kept)
+            rebound = build_server()
+            common.set_execution_config(
+                ExecutionConfig(aggregator="trimmed_mean", trim_fraction=0.2)
+            )
+            common.configure_server_robustness(rebound)
+        finally:
+            common.set_execution_config(previous)
+        assert kept.aggregator_name == "median"
+        assert rebound.aggregator_name == "trimmed_mean"
+
 
 class TestDocumentedCommands:
     def test_commands_were_found(self):

@@ -104,6 +104,7 @@ class TestServer:
 
     def test_sequential_executor_delivers_tampered_state(self, dataset):
         from repro.fl.executor import SequentialExecutor
+        from repro.fl.registry import ClientRegistry
 
         server = FLServer(factory)
         marker = 41.5
@@ -125,7 +126,9 @@ class TestServer:
                 super().receive_global(state)
 
         clients = [_ProbeClient(i, dataset, factory, seed=i) for i in range(2)]
-        SequentialExecutor().execute(clients, server)
+        executor = SequentialExecutor()
+        executor.bind_registry(ClientRegistry.from_clients(clients))
+        executor.execute([client.client_id for client in clients], server)
         assert not np.allclose(received[0], marker)
         assert np.allclose(received[1], marker)
 
