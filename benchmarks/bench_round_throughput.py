@@ -1,22 +1,17 @@
-"""Round throughput: execution engines, compute dtypes, virtualization.
+"""Round throughput: execution engines and virtualization.
 
-Four sweeps, one JSON:
+Three sweeps, one JSON:
 
 1. Sequential vs process execution on a synthetic tabular federation at
    2, 4, and 8 clients (the original bench; row schema unchanged).
-2. ``compute_dtype`` on a conv-heavy image federation (VGG stages — where
-   im2col/GEMM dominates), comparing the float64 reference against the
-   float32 policy on the NumPy kernels.  Rows reuse the same timing fields
-   plus the configuration axes and final test accuracy, so
-   accuracy/throughput trade-offs are recorded together.
-3. Sequential vs batched execution on a *cohort-scale* conv federation
+2. Sequential vs batched execution on a *cohort-scale* conv federation
    (many clients, a handful of samples each — the regime MIA evaluation
    reruns constantly).  There the sequential engine is dominated by Python
    dispatch over K tiny graphs; the batched engine stacks the cohort into
    grouped kernels.  Each row also records a digest of the final global
    state, and the sweep asserts the batched digest matches sequential
-   bit-for-bit under both dtype policies.
-4. Virtualized *cross-device* rounds (see ``repro.fl.registry``): 2k- and
+   bit-for-bit.
+3. Virtualized *cross-device* rounds (see ``repro.fl.registry``): 2k- and
    10k-client populations at a fixed 100-client cohort.  Each row records
    the flat-memory evidence — peak RSS, store-resident bytes, and the
    high-water count of simultaneously live clients (which must equal the
@@ -68,7 +63,6 @@ from repro.fl.executor import make_executor
 from repro.fl.registry import ClientRegistry
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.backend import use_compute_dtype
 from repro.nn.models import build_model
 from repro.utils.rng import derive_rng
 
@@ -92,17 +86,6 @@ def _visible_cpus() -> int:
         return os.cpu_count() or 1
 
 _SPEC = TabularSpec(num_classes=8, num_features=64, flip_probability=0.1)
-
-#: nn sweep axes: the NumPy kernels under both dtype policies.
-NN_COMBOS = (
-    ("numpy", "float64"),
-    ("numpy", "float32"),
-)
-#: Enough rounds for the smoke federation to converge (~99% accuracy), so
-#: the float32-vs-float64 accuracy comparison is measured on a trained
-#: model rather than on chance-level noise.
-NN_ROUNDS = 11
-_IMAGE_SPEC = ImageSpec(num_classes=4, channels=1, height=16, width=16, noise_scale=0.1)
 
 #: Cohort-scale conv sweep: many clients, a handful of images each.  Per
 #: client the conv graph is tiny, so the sequential engine spends its time
@@ -167,62 +150,6 @@ def _time_backend(backend: str, num_clients: int) -> dict:
     }
 
 
-def _build_conv_federation(num_clients: int = 2, seed: int = 0):
-    dataset = generate_image_dataset(_IMAGE_SPEC, samples_per_class=48, seed=seed)
-    shards = partition_iid(dataset, num_clients, seed=derive_rng(seed, "bench-cp"))
-
-    def factory():
-        return build_model(
-            "vgg", _IMAGE_SPEC.num_classes, in_channels=_IMAGE_SPEC.channels,
-            stage_channels=(8, 16), convs_per_stage=1,
-            seed=derive_rng(seed, "bench-cm"),
-        )
-
-    server = FLServer(factory)
-    clients = [
-        FLClient(i, shards[i], factory, ClientConfig(lr=5e-2, batch_size=16),
-                 seed=derive_rng(seed, "bench-cc", i))
-        for i in range(num_clients)
-    ]
-    return server, clients, dataset
-
-
-def _time_nn_combo(nn_backend: str, compute_dtype: str) -> dict:
-    """Sequential conv-heavy federation under one nn x dtype combo.
-
-    Same timing fields as the executor rows, plus the configuration axes
-    and the final test accuracy (the float32 policy must not cost more
-    than a fraction of a point on this smoke-scale task).
-    """
-    with use_compute_dtype(compute_dtype):
-        server, clients, dataset = _build_conv_federation()
-        with FederatedSimulation(server, clients) as sim:
-            sim.run(WARMUP_ROUNDS)
-            start = time.perf_counter()
-            sim.run(NN_ROUNDS)
-            elapsed = time.perf_counter() - start
-            metrics = sim.history.round_metrics[WARMUP_ROUNDS:]
-            accuracy = sim.evaluate_global(dataset).accuracy
-    mean_round = elapsed / NN_ROUNDS
-    return {
-        "backend": "sequential",
-        "nn_backend": nn_backend,
-        "compute_dtype": compute_dtype,
-        "clients": len(clients),
-        "rounds": NN_ROUNDS,
-        "rounds_per_sec": (1.0 / mean_round) if mean_round > 0 else float("inf"),
-        "mean_round_sec": mean_round,
-        "mean_client_compute_sec": sum(
-            m.total_compute_seconds for m in metrics
-        ) / len(metrics),
-        "mb_broadcast_per_round": sum(m.bytes_broadcast for m in metrics)
-        / len(metrics) / 1e6,
-        "mb_aggregated_per_round": sum(m.bytes_aggregated for m in metrics)
-        / len(metrics) / 1e6,
-        "test_accuracy": accuracy,
-    }
-
-
 def _build_cohort_conv_federation(num_clients: int = BATCHED_CLIENTS, seed: int = 0):
     dataset = generate_image_dataset(
         _COHORT_SPEC,
@@ -258,8 +185,8 @@ def _state_digest(state: dict) -> str:
     return digest.hexdigest()
 
 
-def _time_batched_combo(nn_backend: str, compute_dtype: str) -> list:
-    """Sequential vs batched rows for the cohort federation under one combo.
+def _time_batched() -> list:
+    """Sequential vs batched rows for the cohort federation.
 
     Both executors run the identical federation; each row carries a digest
     of the final global state so the JSON itself documents that batching
@@ -267,21 +194,18 @@ def _time_batched_combo(nn_backend: str, compute_dtype: str) -> list:
     """
     rows = []
     for executor_backend in ("sequential", "batched"):
-        with use_compute_dtype(compute_dtype):
-            server, clients = _build_cohort_conv_federation()
-            executor = make_executor(backend=executor_backend)
-            with FederatedSimulation(server, clients, executor=executor) as sim:
-                sim.run(WARMUP_ROUNDS)
-                start = time.perf_counter()
-                sim.run(BATCHED_ROUNDS)
-                elapsed = time.perf_counter() - start
-                metrics = sim.history.round_metrics[WARMUP_ROUNDS:]
-            digest = _state_digest(server.global_state())
+        server, clients = _build_cohort_conv_federation()
+        executor = make_executor(backend=executor_backend)
+        with FederatedSimulation(server, clients, executor=executor) as sim:
+            sim.run(WARMUP_ROUNDS)
+            start = time.perf_counter()
+            sim.run(BATCHED_ROUNDS)
+            elapsed = time.perf_counter() - start
+            metrics = sim.history.round_metrics[WARMUP_ROUNDS:]
+        digest = _state_digest(server.global_state())
         mean_round = elapsed / BATCHED_ROUNDS
         rows.append({
             "backend": executor_backend,
-            "nn_backend": nn_backend,
-            "compute_dtype": compute_dtype,
             "clients": len(clients),
             "rounds": BATCHED_ROUNDS,
             "rounds_per_sec": (1.0 / mean_round) if mean_round > 0 else float("inf"),
@@ -378,26 +302,20 @@ def run_bench() -> dict:
         for num_clients in CLIENT_COUNTS
         for backend in BACKENDS
     ]
-    nn_rows = [
-        _time_nn_combo(nn_backend, compute_dtype)
-        for nn_backend, compute_dtype in NN_COMBOS
-    ]
-    batched_rows = [
-        row
-        for nn_backend, compute_dtype in NN_COMBOS
-        for row in _time_batched_combo(nn_backend, compute_dtype)
-    ]
+    sequential, batched = _time_batched()
     report = {
         "benchmark": "round_throughput",
         "num_workers": NUM_WORKERS,
         "cpu_count": os.cpu_count(),
         "cpus_visible": _visible_cpus(),
         "rows": rows,
-        "nn_backend_rows": nn_rows,
-        "nn_backend_speedup_vs_reference": _nn_speedup(nn_rows),
-        "batched_rows": batched_rows,
-        "batched_speedup_vs_sequential": _batched_speedup(batched_rows),
-        "batched_digest_match": _batched_digest_match(batched_rows),
+        "batched_rows": [sequential, batched],
+        "batched_speedup_vs_sequential": (
+            sequential["mean_round_sec"] / batched["mean_round_sec"]
+        ),
+        "batched_digest_match": (
+            sequential["state_digest"] == batched["state_digest"]
+        ),
         "virtual_rows": [
             _time_virtual(population) for population in VIRTUAL_POPULATIONS
         ],
@@ -405,47 +323,6 @@ def run_bench() -> dict:
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return report
-
-
-def _batched_speedup(batched_rows) -> dict:
-    """Per-combo batched-over-sequential round-throughput ratio."""
-    by_key = {
-        (row["backend"], row["nn_backend"], row["compute_dtype"]): row
-        for row in batched_rows
-    }
-    return {
-        f"{nn_backend}-{compute_dtype}": (
-            by_key[("sequential", nn_backend, compute_dtype)]["mean_round_sec"]
-            / by_key[("batched", nn_backend, compute_dtype)]["mean_round_sec"]
-        )
-        for nn_backend, compute_dtype in NN_COMBOS
-    }
-
-
-def _batched_digest_match(batched_rows) -> dict:
-    """Whether batched reproduced the sequential bits, per combo."""
-    by_key = {
-        (row["backend"], row["nn_backend"], row["compute_dtype"]): row
-        for row in batched_rows
-    }
-    return {
-        f"{nn_backend}-{compute_dtype}": (
-            by_key[("sequential", nn_backend, compute_dtype)]["state_digest"]
-            == by_key[("batched", nn_backend, compute_dtype)]["state_digest"]
-        )
-        for nn_backend, compute_dtype in NN_COMBOS
-    }
-
-
-def _nn_speedup(nn_rows) -> dict:
-    """Per-combo speedup over the numpy/float64 reference row."""
-    by_key = {(row["nn_backend"], row["compute_dtype"]): row for row in nn_rows}
-    reference = by_key[("numpy", "float64")]["mean_round_sec"]
-    return {
-        f"{nn_backend}-{compute_dtype}": reference
-        / by_key[(nn_backend, compute_dtype)]["mean_round_sec"]
-        for nn_backend, compute_dtype in NN_COMBOS
-    }
 
 
 def _speedup(report: dict, num_clients: int) -> float:
@@ -466,20 +343,11 @@ def test_round_throughput(benchmark):
         )
     for num_clients in CLIENT_COUNTS:
         print(f"  speedup @{num_clients} clients: {_speedup(report, num_clients):.2f}x")
-    for row in report["nn_backend_rows"]:
-        print(
-            f"  {row['nn_backend']:>11s}/{row['compute_dtype']:<8s}: "
-            f"{row['mean_round_sec'] * 1e3:.1f} ms/round, "
-            f"accuracy {row['test_accuracy']:.3f}"
-        )
-    print(f"  nn speedups: {report['nn_backend_speedup_vs_reference']}")
     for row in report["batched_rows"]:
         print(
-            f"  {row['backend']:>10s} cohort "
-            f"{row['nn_backend']}/{row['compute_dtype']}: "
-            f"{row['rounds_per_sec']:.2f} rounds/sec"
+            f"  {row['backend']:>10s} cohort: {row['rounds_per_sec']:.2f} rounds/sec"
         )
-    print(f"  batched speedups: {report['batched_speedup_vs_sequential']}")
+    print(f"  batched speedup: {report['batched_speedup_vs_sequential']:.2f}x")
     for row in report["virtual_rows"]:
         print(
             f"  virtual {row['population']:>6d} clients @ cohort "
@@ -500,24 +368,8 @@ def test_round_throughput(benchmark):
     # machine, not what a container/cgroup lets the pool use.
     if report["cpus_visible"] >= NUM_WORKERS:
         assert _speedup(report, 8) >= 2.0
-    # Batching the cohort must reproduce the sequential bits exactly under
-    # both dtype policies...
-    assert all(report["batched_digest_match"].values()), report[
-        "batched_digest_match"
-    ]
-    # ...and collapse per-client Python dispatch into grouped kernels.  The
-    # published JSON shows >=3x at numpy/float32; assert a safety margin
-    # below that so a loaded CI box doesn't flake the suite.
-    assert report["batched_speedup_vs_sequential"]["numpy-float32"] >= 2.0
-    # The float32 policy must stay within 0.5pp of the float64 accuracy on
-    # this conv-heavy workload.
-    by_key = {
-        (row["nn_backend"], row["compute_dtype"]): row
-        for row in report["nn_backend_rows"]
-    }
-    reference_accuracy = by_key[("numpy", "float64")]["test_accuracy"]
-    fast_accuracy = by_key[("numpy", "float32")]["test_accuracy"]
-    assert abs(fast_accuracy - reference_accuracy) <= 0.005
+    # Batching the cohort must reproduce the sequential bits exactly.
+    assert report["batched_digest_match"]
 
 
 if __name__ == "__main__":
@@ -525,7 +377,6 @@ if __name__ == "__main__":
     print(json.dumps(generated, indent=2))
     for count in CLIENT_COUNTS:
         print(f"speedup @{count} clients: {_speedup(generated, count):.2f}x")
-    print(f"nn speedups: {generated['nn_backend_speedup_vs_reference']}")
-    print(f"batched speedups: {generated['batched_speedup_vs_sequential']}")
+    print(f"batched speedup: {generated['batched_speedup_vs_sequential']:.2f}x")
     print(f"batched digests match: {generated['batched_digest_match']}")
     print(f"virtual digest match: {generated['virtual_digest_match']}")

@@ -16,8 +16,6 @@ from dataclasses import Field, dataclass, field, fields, is_dataclass
 from functools import reduce
 from typing import Any, Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
 
-from repro.nn.backend import available_dtype_policies
-
 #: Round-execution backends understood by :class:`ExecutionConfig`.
 EXECUTION_BACKENDS = ("sequential", "process", "batched", "async")
 
@@ -50,10 +48,6 @@ STATE_STORES = ("memory", "lru")
 #: Sections of the experiments CLI's help, keyed by a knob's ``group``:
 #: ``(title, description)``.  Knobs without a group are top-level flags.
 KNOB_GROUPS = {
-    "nn": (
-        "nn precision",
-        "compute precision of the repro.nn substrate (see repro.nn.backend)",
-    ),
     "diagnostics": (
         "diagnostics",
         "autograd correctness guards and op-level profiling "
@@ -117,10 +111,10 @@ def knob(
 
     ``help`` gives the knob a CLI flag in section ``group`` of
     :data:`KNOB_GROUPS`: ``--`` plus the field name in dashes, unless
-    ``flag`` renames it.  ``choices`` (a tuple, or a callable returning one)
-    and ``check`` (skipped for ``None``) are enforced at construction by
-    :func:`check_fields`.  ``option`` renames the knob where it is handed on
-    as a keyword (see :attr:`ExecutionConfig.aggregator_options`).
+    ``flag`` renames it.  ``choices`` (a tuple) and ``check`` (skipped for
+    ``None``) are enforced at construction by :func:`check_fields`.
+    ``option`` renames the knob where it is handed on as a keyword (see
+    :attr:`ExecutionConfig.aggregator_options`).
     """
     metadata = dict(help=help, group=group, flag=flag, metavar=metavar)
     metadata.update(choices=choices, check=check, option=option)
@@ -132,7 +126,6 @@ def check_fields(config: Any) -> None:
     for f in fields(config):
         value, check = getattr(config, f.name), f.metadata.get("check")
         choices = f.metadata.get("choices")
-        choices = choices() if callable(choices) else choices
         if choices is not None and value not in choices:
             raise ValueError(f"{f.name} must be one of {choices}")
         if check is not None and value is not None and not check[0](value):
@@ -625,12 +618,6 @@ class ExecutionConfig(EngineConfig):
     screening to the server for the synchronous engines.
     """
 
-    compute_dtype: str = knob(
-        "float64", "nn compute precision (float32 halves memory traffic; "
-        "losses still accumulate in float64, but results are no longer bitwise "
-        "comparable to the float64 baseline)", "nn",
-        choices=available_dtype_policies,
-    )
     nn_debug: bool = knob(
         False, "enable autograd invariant guards (grad shape/dtype checks, "
         "NaN/Inf anomaly detection); equivalent to REPRO_NN_DEBUG=1",

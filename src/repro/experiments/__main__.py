@@ -62,12 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         if knob.kind is bool or is_dataclass(knob.kind):
             sections[group].add_argument(knob.flag, action="store_true", help=meta["help"])
             continue
-        choices = meta["choices"]
         sections[group].add_argument(
             knob.flag,
             default=default,
             type=knob.kind if knob.kind in (int, float) else None,
-            choices=choices() if callable(choices) else choices,
+            choices=meta["choices"],
             metavar=meta["metavar"],
             help=meta["help"] + ("" if default is None else " (default: %(default)s)"),
         )

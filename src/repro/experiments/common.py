@@ -31,7 +31,6 @@ from repro.experiments.profiles import Profile
 from repro.fl.executor import RoundExecutor, executor_class
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.training import train_supervised
-from repro.nn.backend import set_compute_dtype
 from repro.nn.layers import Module
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
@@ -71,9 +70,6 @@ def set_execution_config(config: ExecutionConfig) -> None:
         from repro.nn import diagnostics
 
         diagnostics.enable_op_profiling()
-    # The dtype policy is part of the config, default included: a default
-    # config must undo an earlier float32 selection.
-    set_compute_dtype(config.compute_dtype)
 
 
 def get_execution_config() -> ExecutionConfig:

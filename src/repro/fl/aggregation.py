@@ -22,8 +22,8 @@ reference=None, ...)`` so the server can swap them via
 :func:`make_aggregator`.  The robust rules are *unweighted* by design —
 honoring attacker-controlled ``num_samples`` weights would hand back the
 influence they exist to bound — and every aggregator preserves the incoming
-floating dtype (a ``--compute-dtype float32`` run must not round-trip its
-parameters through an unintended ``float64`` upcast).
+floating dtype (float32 states come back float32, not upcast to
+``float64``).
 
 The robust rules additionally accept a keyword-only ``staleness`` sequence:
 the async engine's per-update decay weights ``s(lag)``.  Unlike

@@ -17,9 +17,9 @@ dual-channel model lowers to one plan: the two blended channels are joined
 on the sample axis for the shared backbone, and the features of the two
 halves are joined on the last axis for the head.
 
-The batched path is **bitwise identical** to :class:`SequentialExecutor` per
-dtype policy.  That holds because every stacked op reduces to
-the same float sequence per client slice:
+The batched path is **bitwise identical** to :class:`SequentialExecutor`.
+That holds because every stacked op reduces to the same float sequence per
+client slice:
 
 - ``np.matmul`` over a leading batch axis runs each slice through the same
   GEMM kernel as a 2-D call;
@@ -78,7 +78,6 @@ from repro.fl.executor import (
     SequentialExecutor,
 )
 from repro.nn import functional as F
-from repro.nn.backend import get_dtype_policy
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -178,16 +177,15 @@ def _batchnorm2d_step(bn: BatchNorm2d, prefix: str) -> Step:
         axes = (1, 3, 4)
         mean = x.mean(axis=axes, keepdims=True)
         var = ((x - mean) * (x - mean)).mean(axis=axes, keepdims=True)
-        dtype = get_dtype_policy().compute_dtype
         buffers[mean_name] = np.asarray(
             (1 - momentum) * buffers[mean_name]
             + momentum * mean.data.reshape(clients, channels),
-            dtype=dtype,
+            dtype=np.float64,
         )
         buffers[var_name] = np.asarray(
             (1 - momentum) * buffers[var_name]
             + momentum * var.data.reshape(clients, channels),
-            dtype=dtype,
+            dtype=np.float64,
         )
         normalized = (x - mean) / (var + eps).sqrt()
         scale = params[weight_name].reshape(clients, 1, channels, 1, 1)
@@ -568,7 +566,6 @@ class BatchedExecutor(SequentialExecutor):
         stacked: List[Tensor] = []
         params: Params = {}
         buffers: Buffers = {}
-        compute_dtype = get_dtype_policy().compute_dtype
 
         # Stack parameters / buffers along a new client axis.
         if server.broadcast_hook is None:
@@ -589,7 +586,7 @@ class BatchedExecutor(SequentialExecutor):
                 stacked.append(leaf)
                 params[name] = leaf
             for name in buffer_names:
-                cast = np.asarray(state[name], dtype=compute_dtype)
+                cast = np.asarray(state[name], dtype=np.float64)
                 buffers[name] = np.repeat(cast[None], cohort, axis=0)
         else:
             # A broadcast hook may tamper per client (malicious-server
@@ -668,11 +665,9 @@ class BatchedExecutor(SequentialExecutor):
             for start in range(0, samples, batch_size):
                 stop = min(start + batch_size, samples)
                 batch_len = stop - start
-                # One compute-dtype allocation; the per-client assignment
-                # casts float64 inputs exactly as the sequential
-                # ``Tensor(inputs)`` leaf coercion would.
+                # One float64 allocation for the whole cohort's batch.
                 batch_inputs = np.empty(
-                    (cohort, batch_len) + input_shape, dtype=compute_dtype
+                    (cohort, batch_len) + input_shape, dtype=np.float64
                 )
                 batch_labels = np.empty((cohort, batch_len), dtype=np.int64)
                 for k in range(cohort):

@@ -1,11 +1,8 @@
-"""Wire protocol and communication accounting for federated runs.
+"""Wire protocol for federated runs.
 
 At millions of clients the bottleneck is bytes, not FLOPs.  This module owns
 everything that crosses the (simulated) wire:
 
-* **Byte accounting** — :func:`state_dict_bytes` / :func:`round_traffic_bytes`
-  and the :class:`CommunicationLedger` every round executor now feeds with the
-  actual per-round broadcast/upload payload sizes.
 * **A versioned, self-describing wire format** for client updates:
 
   .. code-block:: text
@@ -60,7 +57,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,92 +66,6 @@ from repro.nn.serialization import pack_state_dict, unpack_state_dict
 from repro.utils.rng import SeedLike, derive_rng
 
 StateDict = Dict[str, np.ndarray]
-
-# ----------------------------------------------------------------------
-# Byte accounting
-# ----------------------------------------------------------------------
-
-
-def state_dict_bytes(state: StateDict) -> int:
-    """Dense wire size of a state dict (array payloads only, no framing)."""
-    return int(sum(value.nbytes for value in state.values()))
-
-
-def round_traffic_bytes(state: StateDict, participants: int) -> int:
-    """One FedAvg round: each participant downloads + uploads the model."""
-    if participants < 0:
-        raise ValueError("participants must be non-negative")
-    return 2 * participants * state_dict_bytes(state)
-
-
-@dataclass
-class CommunicationLedger:
-    """Accumulates per-round wire traffic, split by direction.
-
-    Every :class:`~repro.fl.executor.RoundExecutor` owns one and records the
-    round's actual payload sizes (post-codec for uploads) via
-    :meth:`record_traffic`; :meth:`record_round` remains for model-based
-    estimates (both directions ship the dense state).
-    """
-
-    per_round_broadcast: List[int] = field(default_factory=list)
-    per_round_upload: List[int] = field(default_factory=list)
-
-    def record_traffic(self, bytes_broadcast: int, bytes_upload: int) -> int:
-        """Record one round's measured traffic; returns the round total."""
-        self.per_round_broadcast.append(int(bytes_broadcast))
-        self.per_round_upload.append(int(bytes_upload))
-        return int(bytes_broadcast) + int(bytes_upload)
-
-    def record_round(self, state: StateDict, participants: int) -> int:
-        """Estimate one dense round (download + upload of ``state`` each)."""
-        per_direction = participants * state_dict_bytes(state)
-        return self.record_traffic(per_direction, per_direction)
-
-    @property
-    def per_round_bytes(self) -> List[int]:
-        return [
-            down + up
-            for down, up in zip(self.per_round_broadcast, self.per_round_upload)
-        ]
-
-    @property
-    def total_broadcast_bytes(self) -> int:
-        return sum(self.per_round_broadcast)
-
-    @property
-    def total_upload_bytes(self) -> int:
-        return sum(self.per_round_upload)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_broadcast_bytes + self.total_upload_bytes
-
-    @property
-    def rounds(self) -> int:
-        return len(self.per_round_broadcast)
-
-    def total_megabytes(self) -> float:
-        return self.total_bytes / 1e6
-
-
-def compare_traffic(
-    state_a: StateDict, state_b: StateDict, participants: int, rounds: int
-) -> Dict[str, float]:
-    """Relative traffic of two model variants over an identical schedule.
-
-    Returns totals and the percentage overhead of B over A — e.g. the
-    dual-channel (CIP) model vs the legacy one.
-    """
-    total_a = round_traffic_bytes(state_a, participants) * rounds
-    total_b = round_traffic_bytes(state_b, participants) * rounds
-    overhead = 100.0 * (total_b - total_a) / total_a if total_a else 0.0
-    return {
-        "total_bytes_a": float(total_a),
-        "total_bytes_b": float(total_b),
-        "overhead_pct": overhead,
-    }
-
 
 # ----------------------------------------------------------------------
 # Versioned wire format

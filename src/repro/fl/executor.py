@@ -97,7 +97,6 @@ from repro.core.config import EXECUTION_BACKENDS, EngineConfig
 from repro.fl.client import ClientMutableState, ClientUpdate, FLClient
 from repro.fl.communication import (
     Codec,
-    CommunicationLedger,
     WireFormatError,
     decode_update,
     make_codec,
@@ -110,7 +109,6 @@ from repro.fl.faults import (
     FaultInjector,
     RetryBackoff,
 )
-from repro.nn.backend import active_compute_dtype, set_compute_dtype
 from repro.nn.diagnostics import OpStat, op_stats_delta
 from repro.nn.diagnostics import get_op_stats as _get_op_stats
 from repro.nn.diagnostics import profiling_enabled as _op_profiling_enabled
@@ -382,15 +380,6 @@ class RoundExecutor(ABC):
         self.backoff = config.backoff
         self.client_timeout = config.client_timeout
         self.min_participation = config.min_participation
-        self._ledger: Optional[CommunicationLedger] = None
-
-    @property
-    def ledger(self) -> CommunicationLedger:
-        """Cumulative wire-traffic ledger, fed with every executed round's
-        actual payload sizes (post-codec uploads)."""
-        if self._ledger is None:
-            self._ledger = CommunicationLedger()
-        return self._ledger
 
     def _wire_reference(self, server) -> Optional[StateDict]:
         """The broadcast state reference-coding codecs encode against.
@@ -413,7 +402,6 @@ class RoundExecutor(ABC):
         update: ClientUpdate,
         wire_reference: Optional[StateDict],
         client: Optional[FLClient],
-        raw_payload: Optional[bytes] = None,
     ) -> Tuple[ClientUpdate, int, int]:
         """Run one collected update through the configured wire codec.
 
@@ -440,13 +428,6 @@ class RoundExecutor(ABC):
         ``max_retries`` times; exhaustion raises :class:`WireDeliveryError`
         for the caller to quarantine.  ``wire_bytes`` sums every
         transmission, matching real wire traffic.
-
-        ``raw_payload`` lets the process backend reuse the payload its
-        worker already packed (identical bytes to packing ``update.state``
-        here) instead of re-packing.  Only a wire fault reads it, so it may
-        be stale (e.g. after Byzantine corruption) when wire faults are off;
-        otherwise pass ``None`` whenever ``update.state`` no longer matches
-        the packed bytes.
         """
         dense_bytes = state_dict_nbytes(update.state)
         injector = self.fault_injector
@@ -458,11 +439,7 @@ class RoundExecutor(ABC):
                 # so skip the pack/decode round trip — bitwise identical to
                 # the wire-faults-off path.
                 return update, dense_bytes, dense_bytes
-            payload = (
-                raw_payload
-                if raw_payload is not None
-                else pack_state_dict(update.state)
-            )
+            payload = pack_state_dict(update.state)
             next_residual = None
             commit_residual = False
         else:
@@ -672,7 +649,6 @@ class RoundExecutor(ABC):
         client: FLClient,
         outcome: ClientOutcome,
         attempt: int,
-        raw_payload: Optional[bytes] = None,
     ) -> ClientOutcome:
         """Deliver a trained update: Byzantine corruption, then the wire.
 
@@ -683,7 +659,7 @@ class RoundExecutor(ABC):
         update = self._corrupt_update(key, update, reference)
         try:
             update, outcome.wire_bytes, outcome.dense_bytes = self._encode_collected(
-                key, update, wire_reference, client, raw_payload
+                key, update, wire_reference, client
             )
         except WireDeliveryError as exc:
             outcome.wire_bytes, outcome.dense_bytes = exc.wire_bytes, exc.dense_bytes
@@ -699,8 +675,7 @@ class RoundExecutor(ABC):
         """Enforce the ``min_participation`` quorum, then close the round.
 
         ``participants`` is the quorum base: the cohort size, or an async
-        step's attempted deliveries.  Closing attaches the round's op stats
-        and bills its traffic to the ledger.
+        step's attempted deliveries.  Closing attaches the round's op stats.
         """
         required = max(1, math.ceil(self.min_participation * participants))
         survived = len(execution.results)
@@ -730,7 +705,6 @@ class RoundExecutor(ABC):
                 "; ".join(lost),
             )
         execution.op_stats = self._profile_end(profile_token)
-        self.ledger.record_traffic(execution.bytes_broadcast, execution.bytes_aggregated)
         return execution
 
     #: Client registry the participants are checked out of, bound by the
@@ -877,7 +851,6 @@ class _WorkerResult:
 def _worker_run_client(
     client_payload: bytes,
     broadcast_payload: bytes,
-    compute_dtype: str,
     kill: bool = False,
 ) -> _WorkerResult:
     """Train one pickled client on one broadcast; the worker keeps nothing."""
@@ -886,9 +859,6 @@ def _worker_run_client(
         # the runtime no chance to clean up; os._exit reproduces that.  It
         # fires before any state is touched, so the retry is bit-identical.
         os._exit(13)
-    # The coordinator's dtype policy goes first: the client's parameters
-    # and buffers materialize and train under the policy it trained with.
-    set_compute_dtype(compute_dtype)
     client = pickle.loads(client_payload)
     client.receive_global(unpack_state_dict(broadcast_payload))
     with Stopwatch() as watch:
@@ -1025,11 +995,6 @@ class ParallelExecutor(RoundExecutor):
         # applied, so it is pickled at most once and a retry ships the same
         # bytes.
         pickled: Dict[int, bytes] = {}
-        compute_dtype = active_compute_dtype()
-        # The worker's packed update doubles as its wire payload unless a
-        # Byzantine attack detached the update from those bytes; without
-        # wire faults nothing reads them.
-        reuse_payload = self.byzantine is None or not self._wire_faults
         deadline = None if self.round_timeout is None else monotonic() + self.round_timeout
         # Clients owed a result: the attempt to resume from, and the verdict
         # on that attempt if it failed for real (``None``: its injected
@@ -1082,11 +1047,7 @@ class ParallelExecutor(RoundExecutor):
                 payload, broadcast_bytes = broadcasts[cid]
                 try:
                     future = self._ensure_pool().submit(
-                        _worker_run_client,
-                        pickled[cid],
-                        payload,
-                        compute_dtype,
-                        kill,
+                        _worker_run_client, pickled[cid], payload, kill
                     )
                 except BrokenProcessPool:
                     # The pool died since the last wait; this task never ran.
@@ -1144,10 +1105,9 @@ class ParallelExecutor(RoundExecutor):
                         num_samples=result.num_samples,
                         train_loss=result.train_loss,
                     )
-                    raw = result.update_payload if reuse_payload else None
                     self._collect(
                         key, update, reference, wire_reference, client, outcomes[cid],
-                        attempt, raw,
+                        attempt,
                     )
             if broken:
                 recycle()

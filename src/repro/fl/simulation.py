@@ -26,7 +26,7 @@ from repro.core.config import CheckpointConfig
 from repro.data.dataset import Dataset
 from repro.fl import checkpoint as ckpt
 from repro.fl.client import ClientUpdate, FLClient
-from repro.fl.executor import RoundExecutionError, RoundExecutor, SequentialExecutor
+from repro.fl.executor import RoundExecutor, SequentialExecutor
 from repro.fl.registry import ClientRegistry
 from repro.fl.server import FLServer
 from repro.fl.training import evaluate_model
@@ -323,10 +323,11 @@ class FederatedSimulation:
     def run(self, rounds: int) -> FLHistory:
         """Run ``rounds`` communication rounds, extending the history.
 
-        An unrecoverable :class:`RoundExecutionError` releases the
-        executor's pooled workers before propagating — a failed multi-hour
-        run must not leak a process pool.  With checkpointing enabled the
-        state saved before the failure remains on disk for :meth:`resume`.
+        Any exception releases the executor's pooled workers before
+        propagating, whether the engine lost the round or the server refused
+        to aggregate it: a failed multi-hour run must not leak a process
+        pool.  With checkpointing enabled the state saved before the failure
+        remains on disk for :meth:`resume`.
         """
         try:
             for _ in range(rounds):
@@ -347,7 +348,7 @@ class FederatedSimulation:
                         # as a torn write or bad sector would.  resume() falls
                         # back to the newest checkpoint that still verifies.
                         _log.warning("chaos: corrupted checkpoint %s", path)
-        except RoundExecutionError:
+        except BaseException:
             self.close()
             raise
         return self.history

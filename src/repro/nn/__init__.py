@@ -7,13 +7,6 @@ optimizers, and mini versions of the paper's backbone architectures.  See
 ``DESIGN.md`` section 2 for the substitution rationale.
 """
 
-from repro.nn.backend import (
-    DtypePolicy,
-    available_dtype_policies,
-    get_dtype_policy,
-    set_compute_dtype,
-    use_compute_dtype,
-)
 from repro.nn.tensor import Tensor, no_grad, concatenate, stack, where
 from repro.nn import functional
 from repro.nn import diagnostics
@@ -50,11 +43,6 @@ from repro.nn.serialization import (
 )
 
 __all__ = [
-    "DtypePolicy",
-    "available_dtype_policies",
-    "get_dtype_policy",
-    "set_compute_dtype",
-    "use_compute_dtype",
     "Tensor",
     "no_grad",
     "concatenate",

@@ -1,4 +1,4 @@
-"""NumPy kernels and the compute-dtype policy for :mod:`repro.nn`.
+"""NumPy kernels for :mod:`repro.nn`.
 
 The array work behind the autograd ops that is more than one NumPy call
 lives here as plain functions: im2col / col2im unfolding, the sliding-window
@@ -8,27 +8,13 @@ modules compute is a direct NumPy call at the op.  ``np.matmul``,
 ``np.einsum`` and ``as_strided`` appear only in this module (the dispatch
 lint in ``tests/nn/test_backend.py`` keeps it that way).
 
-Orthogonally, a :class:`DtypePolicy` decides what dtype differentiable
-data lives in.  The default ``"float64"`` policy reproduces the historical
-coercion rules exactly; the opt-in ``"float32"`` policy keeps parameters,
-activations and gradients in float32 while still *accumulating loss
-reductions in float64* (see ``repro.nn.losses._reduce``), so the reported
-loss does not drift with batch size.
-
-The policy is global per process (mirroring ``repro.nn.diagnostics``):
-:func:`set_compute_dtype` activates one and :func:`use_compute_dtype` scopes
-an activation to a block.  Worker processes of the FL process engine receive
-the coordinator's policy through their pool initializer
-(``repro.fl.executor._worker_init``).
-
 This module deliberately imports nothing from the rest of ``repro`` so the
 op modules can depend on it without cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -80,142 +66,6 @@ def _scatter_cols(
         for kw in range(kernel):
             w_end = kw + stride * out_w
             padded[:, :, kh:h_end:stride, kw:w_end:stride] += cols6[:, :, :, :, kh, kw]
-
-
-# ----------------------------------------------------------------------
-# Dtype policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DtypePolicy:
-    """What dtype differentiable data, gradients and losses live in.
-
-    Attributes
-    ----------
-    name:
-        Registry key (``"float64"`` or ``"float32"``).
-    compute_dtype:
-        The dtype parameters, buffers and leaf tensors are coerced to.
-    cast_floating_leaves:
-        Whether *floating* leaf data is also coerced to ``compute_dtype``
-        (the float64 policy keeps the historical rule: only non-floating
-        differentiable data is coerced, so explicitly-float32 tensors stay
-        float32 under the default policy).
-    preserve_grad_dtype:
-        ``False`` — gradients are always accumulated in float64 (the
-        historical, bit-identical behaviour); ``True`` — gradients match
-        their tensor's dtype, keeping the whole backward pass in
-        ``compute_dtype``.
-    upcast_loss:
-        Whether loss reductions (mean/sum over per-sample losses) are
-        accumulated in float64 even when activations are float32.
-    """
-
-    name: str
-    compute_dtype: "np.dtype"
-    cast_floating_leaves: bool
-    preserve_grad_dtype: bool
-    upcast_loss: bool
-
-    @property
-    def loss_dtype(self) -> "np.dtype":
-        """Dtype loss reductions accumulate in (always float64)."""
-        return np.dtype(np.float64)
-
-    def grad_dtype(self, data_dtype: "np.dtype") -> "np.dtype":
-        """Dtype of the gradient accumulated into a tensor of ``data_dtype``."""
-        if not self.preserve_grad_dtype:
-            return np.dtype(np.float64)
-        dtype = np.dtype(data_dtype)
-        if np.issubdtype(dtype, np.floating):
-            return dtype
-        return np.dtype(self.compute_dtype)
-
-    def coerce_leaf(
-        self, array: np.ndarray, requires_grad: bool, is_leaf: bool
-    ) -> np.ndarray:
-        """Apply the policy's dtype coercion to freshly-constructed data."""
-        if requires_grad and not np.issubdtype(array.dtype, np.floating):
-            return array.astype(self.compute_dtype)
-        if (
-            self.cast_floating_leaves
-            and is_leaf
-            and np.issubdtype(array.dtype, np.floating)
-            and array.dtype != self.compute_dtype
-        ):
-            return array.astype(self.compute_dtype)
-        return array
-
-
-_POLICIES: Dict[str, DtypePolicy] = {
-    "float64": DtypePolicy(
-        name="float64",
-        compute_dtype=np.dtype(np.float64),
-        cast_floating_leaves=False,
-        preserve_grad_dtype=False,
-        upcast_loss=False,
-    ),
-    "float32": DtypePolicy(
-        name="float32",
-        compute_dtype=np.dtype(np.float32),
-        cast_floating_leaves=True,
-        preserve_grad_dtype=True,
-        upcast_loss=True,
-    ),
-}
-
-
-def available_dtype_policies() -> Tuple[str, ...]:
-    return tuple(_POLICIES)
-
-
-def get_policy(name: str) -> DtypePolicy:
-    try:
-        return _POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown compute dtype {name!r}; choose from {tuple(_POLICIES)}"
-        ) from None
-
-
-_active_policy: DtypePolicy = _POLICIES["float64"]
-
-
-def get_dtype_policy() -> DtypePolicy:
-    """The dtype policy currently governing tensor/grad/loss dtypes."""
-    return _active_policy
-
-
-def active_compute_dtype() -> str:
-    return _active_policy.name
-
-
-def set_compute_dtype(name: str) -> DtypePolicy:
-    """Activate the dtype policy ``name`` process-wide and return it."""
-    global _active_policy
-    _active_policy = get_policy(name)
-    return _active_policy
-
-
-class use_compute_dtype:
-    """Context manager scoping a dtype-policy activation to a block.
-
-    Restores the previous policy on exit, so tests can pin a precision
-    without leaking it::
-
-        with use_compute_dtype("float32"):
-            train(...)
-    """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __enter__(self) -> DtypePolicy:
-        self._prev = _active_policy
-        return set_compute_dtype(self._name)
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _active_policy
-        _active_policy = self._prev
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.backend import use_compute_dtype
 from repro.nn.tensor import Tensor
 
 #: An op-stat key no op uses.  ``perfbench/tracing.py`` skips it when it
@@ -538,9 +537,6 @@ def gradcheck(
     analytic gradient runs in the inputs' real dtypes, and default
     tolerances widen automatically when any checked input is float32.
 
-    The numerical pass forces the float64 dtype policy, so a float32
-    compute policy cannot round away the finite-difference probe.
-
     Raises :class:`GradcheckError` (naming ``op_name``) on the first
     violated invariant: a missing gradient, a gradient whose shape differs
     from its tensor's shape, or an analytic/numerical mismatch.  Returns
@@ -584,12 +580,7 @@ def gradcheck(
     base = [np.array(t.data, dtype=np.float64, copy=True) for t in tensors]
 
     def evaluate(datas: List[np.ndarray]) -> float:
-        # Pin the float64 policy for the numerical pass: under a float32
-        # compute policy the Tensor(d) leaves would be cast down and the
-        # eps-sized probes would drown in rounding error.  A no-op under
-        # the default policy, so the reference path is untouched.
-        with use_compute_dtype("float64"):
-            result = fn(*[Tensor(d) for d in datas])
+        result = fn(*[Tensor(d) for d in datas])
         return float((np.asarray(result.data, dtype=np.float64) * projection).sum())
 
     for index, tensor in checked:

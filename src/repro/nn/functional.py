@@ -194,7 +194,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
 
     def backward(grad: np.ndarray) -> None:
-        # Allocate in the input's dtype so a float32 compute path is not
+        # Allocate in the input's dtype so a float32 input is not
         # silently upcast to float64 by its pooling gradients.
         grad_windows = np.zeros(
             (batch, channels, out_h, out_w, kernel * kernel), dtype=x.data.dtype
@@ -272,9 +272,9 @@ def one_hot(
 ) -> np.ndarray:
     """Plain (non-differentiable) one-hot encoding of an int label vector.
 
-    ``dtype`` defaults to float64 for backwards compatibility; callers on a
-    float32 compute path should pass the dtype of the tensor the encoding
-    will be combined with, so the target does not upcast the whole loss.
+    ``dtype`` defaults to float64; callers combining the encoding with a
+    float32 tensor should pass that tensor's dtype, so the target does not
+    upcast the whole loss.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min(initial=0) < 0 or (labels.size and labels.max() >= num_classes):

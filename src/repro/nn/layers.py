@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init as initializers
-from repro.nn.backend import get_dtype_policy
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, as_generator
 
@@ -24,15 +23,11 @@ from repro.utils.rng import SeedLike, as_generator
 class Parameter(Tensor):
     """A tensor that is registered as a learnable model parameter.
 
-    Parameters are allocated in the active :class:`~repro.nn.backend.DtypePolicy`
-    compute dtype (float64 under the default policy).
+    Parameters are allocated in float64.
     """
 
     def __init__(self, data: np.ndarray) -> None:
-        super().__init__(
-            np.asarray(data, dtype=get_dtype_policy().compute_dtype),
-            requires_grad=True,
-        )
+        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
 class LoadResult(NamedTuple):
@@ -80,11 +75,11 @@ class Module:
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register non-learnable state (e.g. BatchNorm running stats)."""
-        self._buffers[name] = np.asarray(value, dtype=get_dtype_policy().compute_dtype)
+        self._buffers[name] = np.asarray(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
     def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        self._buffers[name] = np.asarray(value, dtype=get_dtype_policy().compute_dtype)
+        self._buffers[name] = np.asarray(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
     # -- traversal ------------------------------------------------------

@@ -12,7 +12,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.nn.backend import get_dtype_policy
 from repro.nn.functional import log_softmax, one_hot
 from repro.nn.tensor import Tensor
 
@@ -55,10 +54,9 @@ def stacked_cross_entropy(
     """Per-client cross-entropy over client-stacked ``(K, N, C)`` logits.
 
     :func:`cross_entropy` op for op along the client axis, reducing over
-    each client's samples: ``"mean"`` gives ``(K,)`` losses (with the
-    float32 policy's float64 upcast), ``"none"`` the ``(K, N)`` per-sample
-    losses.  Slice ``k`` is bitwise client ``k``'s :func:`cross_entropy`
-    of ``(logits[k], labels[k])``.
+    each client's samples: ``"mean"`` gives ``(K,)`` losses, ``"none"`` the
+    ``(K, N)`` per-sample losses.  Slice ``k`` is bitwise client ``k``'s
+    :func:`cross_entropy` of ``(logits[k], labels[k])``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 3 or labels.shape != logits.shape[:2]:
@@ -99,12 +97,6 @@ def l1_norm(tensor: Tensor) -> Tensor:
 def _reduce(values: Tensor, reduction: str, axis: Optional[int] = None) -> Tensor:
     if reduction == "none":
         return values
-    policy = get_dtype_policy()
-    if policy.upcast_loss and values.data.dtype != policy.loss_dtype:
-        # Float32 compute path: accumulate the scalar loss in float64 so the
-        # reduction over a batch does not lose low-order bits.  The cast op's
-        # backward returns the gradient to float32 before it reaches the graph.
-        values = values.astype(policy.loss_dtype)
     if reduction == "mean":
         return values.mean(axis=axis)
     if reduction == "sum":

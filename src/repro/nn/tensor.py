@@ -13,10 +13,10 @@ autograd.  The design goals, in order:
    :meth:`Tensor.backward` walks a topological sort of the local graph.
 
 Only float64/float32 data participates in differentiation; integer tensors
-may be used for indexing/labels but never require grad.
-
-Dtype coercion follows the active :class:`~repro.nn.backend.DtypePolicy`;
-the default float64 policy reproduces the historical behaviour bit-for-bit.
+may be used for indexing/labels but never require grad.  A leaf that
+requires grad and holds non-floating data becomes float64; floating data
+keeps its dtype, so explicit float32 tensors stay float32.  Gradients, and
+the seed of :meth:`Tensor.backward`, are always float64.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
-
-from repro.nn.backend import get_dtype_policy
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -56,8 +54,8 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array data; coerced per the active dtype policy (by default:
-        to ``float64`` when ``requires_grad`` is set on non-floating data).
+        Array data; cast to ``float64`` when ``requires_grad`` is set on
+        non-floating data, otherwise kept as given.
     requires_grad:
         Whether gradients should be accumulated into ``.grad`` on backward.
     """
@@ -74,9 +72,8 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        # Leaf construction follows the active dtype policy; op outputs
-        # (constructed with _parents) keep whatever dtype the op produced.
-        arr = get_dtype_policy().coerce_leaf(arr, requires_grad, not _parents)
+        if requires_grad and arr.dtype.kind != "f":
+            arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.requires_grad: bool = bool(requires_grad and _grad_enabled)
         self.grad: Optional[np.ndarray] = None
@@ -169,8 +166,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            grad_dtype = get_dtype_policy().grad_dtype(self.data.dtype)
-            self.grad = np.array(grad, dtype=grad_dtype, copy=True)
+            self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
             self.grad += grad
 
@@ -184,15 +180,14 @@ class Tensor:
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
-        seed_dtype = get_dtype_policy().grad_dtype(self.data.dtype)
         if grad is None:
             if self.size != 1:
                 raise RuntimeError("grad must be supplied for non-scalar backward()")
-            seed = np.ones_like(self.data, dtype=seed_dtype)
+            seed = np.ones_like(self.data, dtype=np.float64)
         else:
-            seed = np.asarray(grad, dtype=seed_dtype)
+            seed = np.asarray(grad, dtype=np.float64)
             if seed.shape != self.shape:
-                seed = np.broadcast_to(seed, self.shape).astype(seed_dtype)
+                seed = np.broadcast_to(seed, self.shape).astype(np.float64)
 
         order: List[Tensor] = []
         visited: Set[int] = set()
@@ -377,23 +372,6 @@ class Tensor:
             self._accumulate(grad * mask)
 
         return self._make(np.clip(self.data, low, high), (self,), backward, "clip")
-
-    def astype(self, dtype) -> "Tensor":
-        """Differentiable dtype cast; the gradient is cast back on the way down.
-
-        The float32 dtype policy uses this to accumulate loss reductions in
-        float64 while activations and gradients stay float32 (the backward
-        re-casts the incoming float64 gradient to the source dtype).
-        """
-        dtype = np.dtype(dtype)
-        if self.data.dtype == dtype:
-            return self
-        source_dtype = self.data.dtype
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.asarray(grad).astype(source_dtype, copy=False))
-
-        return self._make(self.data.astype(dtype), (self,), backward, "cast")
 
     # ------------------------------------------------------------------
     # Reductions

@@ -8,7 +8,6 @@ import pytest
 from repro.core.config import ExecutionConfig
 from repro.experiments.__main__ import build_parser, main, parse_command_line
 from repro.experiments.common import get_execution_config, set_execution_config
-from repro.nn.backend import active_compute_dtype
 
 #: Every option of the parser: (strings, dest, default, type, choices, action).
 CLI_SURFACE = [
@@ -22,8 +21,6 @@ CLI_SURFACE = [
     (('--backend',), 'backend', 'sequential', None,
      ('sequential', 'process', 'batched', 'async'), '_StoreAction'),
     (('--num-workers',), 'num_workers', None, 'int', None, '_StoreAction'),
-    (('--compute-dtype',), 'compute_dtype', 'float64', None,
-     ('float64', 'float32'), '_StoreAction'),
     (('--nn-debug',), 'nn_debug', False, None, None, '_StoreTrueAction'),
     (('--profile-ops',), 'profile_ops', False, None, None, '_StoreTrueAction'),
     (('--max-retries',), 'max_retries', 0, 'int', None, '_StoreAction'),
@@ -110,7 +107,6 @@ DEFAULT_CONFIG = {
     "topk_fraction": 0.05,
     "qsgd_levels": 16,
     "codec_seed": 0,
-    "compute_dtype": "float64",
     "nn_debug": False,
     "profile_ops": False,
     "aggregator": "fedavg",
@@ -173,14 +169,6 @@ class TestParser:
     def test_no_flags_build_the_default_config(self):
         assert _config_fields(["table1"]) == DEFAULT_CONFIG
         assert asdict(ExecutionConfig()) == DEFAULT_CONFIG
-
-
-class TestSetExecutionConfig:
-    def test_default_config_restores_the_float64_policy(self):
-        set_execution_config(ExecutionConfig(compute_dtype="float32"))
-        assert active_compute_dtype() == "float32"
-        set_execution_config(ExecutionConfig())
-        assert active_compute_dtype() == "float64"
 
 
 class TestCIConfigs:

@@ -1,21 +1,19 @@
-"""Compute-dtype selection across the federated stack.
+"""The float64 NumPy kernels across the federated stack.
 
 Pins the headline guarantees at the system level:
 
-* **Pinned digest** — a fixed-seed 2-round FedAvg+CIP simulation under the
-  default float64 policy produces the byte-identical final global
-  ``state_dict`` it produced before the kernels moved into
-  ``repro.nn.backend``.  If this digest moves, the "NumPy kernels are
-  bitwise-identical" contract is broken (or the model/data/seed
-  derivations changed — regenerate only after ruling that out).
+* **Pinned digest** — a fixed-seed 2-round FedAvg+CIP simulation produces
+  the byte-identical final global ``state_dict`` it produced before the
+  kernels moved into ``repro.nn.backend``.  If this digest moves, the
+  "NumPy kernels are bitwise-identical" contract is broken (or the
+  model/data/seed derivations changed — regenerate only after ruling that
+  out).
 * **Executor equivalence** — sequential, process-pool and batched
-  execution stay bit-identical to each other: the worker-pool initializer
-  activates the coordinator's dtype policy before unpickling clients.
-* **Checkpoint compatibility** — checkpoints record the compute dtype that
-  wrote them; restoring under another dtype, or a payload an nn backend
-  other than ``numpy`` wrote, fails loudly, a matched restore stays
-  bit-identical, and checkpoints without that metadata load under the
-  default configuration.
+  execution stay bit-identical to each other.
+* **Checkpoint compatibility** — a payload that earlier builds wrote under
+  a compute dtype other than float64, or under an nn backend other than
+  ``numpy``, fails loudly; a matched restore stays bit-identical, and
+  checkpoints without that metadata load.
 """
 
 from __future__ import annotations
@@ -42,14 +40,13 @@ from repro.fl.executor import ParallelExecutor, SequentialExecutor
 from repro.fl.registry import ClientRegistry, LRUStateStore
 from repro.fl.server import FLServer
 from repro.fl.simulation import FederatedSimulation
-from repro.nn.backend import use_compute_dtype
 from repro.nn.models import build_model
 from repro.nn.tensor import Tensor
 from repro.utils.rng import derive_rng
 
 #: Final-global-state digest of the reference simulation below, computed on
-#: the tree before the kernel module existed.  The float64 policy must
-#: reproduce it byte for byte.
+#: the tree before the kernel module existed.  It must be reproduced byte
+#: for byte.
 PINNED_DIGEST = "20467a59840fdafe72fa3bdaaaa4005994cc983e212096645c74aa5654df7676"
 
 _SPEC = ImageSpec(num_classes=3, channels=1, height=8, width=8, noise_scale=0.1)
@@ -98,8 +95,7 @@ def _run_reference_simulation(executor=None, seed=1234):
 
 class TestPinnedDigest:
     def test_default_backend_reproduces_the_pre_refactor_digest(self):
-        with use_compute_dtype("float64"):
-            state = _run_reference_simulation()
+        state = _run_reference_simulation()
         assert _state_dict_digest(state) == PINNED_DIGEST
 
     def test_batched_executor_reproduces_the_pinned_digest(self):
@@ -107,8 +103,7 @@ class TestPinnedDigest:
         # lower (Step I runs the model in eval mode), so the batched
         # executor routes these CIP clients through its per-client fallback
         # and must still land on the pinned bytes.
-        with use_compute_dtype("float64"):
-            state = _run_reference_simulation(BatchedExecutor())
+        state = _run_reference_simulation(BatchedExecutor())
         assert _state_dict_digest(state) == PINNED_DIGEST
 
 
@@ -150,32 +145,18 @@ class TestExecutorEquivalenceUnderBackends:
             assert seq_state[key].dtype == par_state[key].dtype, key
             assert np.array_equal(seq_state[key], par_state[key]), key
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_sequential_matches_batched_bitwise(self, dtype):
         # Unlike the CIP reference run (which exercises the fallback), this
         # federation actually stacks: identical architectures and
         # hyperparameters across all three clients.
-        with use_compute_dtype(dtype):
-            seq_state, seq_losses = _run_plain_conv_federation(
-                SequentialExecutor()
-            )
-            bat_state, bat_losses = _run_plain_conv_federation(BatchedExecutor())
+        seq_state, seq_losses = _run_plain_conv_federation(SequentialExecutor())
+        bat_state, bat_losses = _run_plain_conv_federation(BatchedExecutor())
         assert seq_losses == bat_losses  # per-round mean train losses
         assert seq_state.keys() == bat_state.keys()
         for key in seq_state:
-            assert seq_state[key].dtype == bat_state[key].dtype, key
+            assert seq_state[key].dtype == bat_state[key].dtype == dtype, key
             assert np.array_equal(seq_state[key], bat_state[key]), key
-
-    def test_float32_run_tracks_float64_closely(self):
-        with use_compute_dtype("float64"):
-            reference = _run_reference_simulation()
-        with use_compute_dtype("float32"):
-            fast = _run_reference_simulation()
-        for key in reference:
-            assert fast[key].dtype == np.float32, key
-            np.testing.assert_allclose(
-                fast[key], reference[key], rtol=1e-2, atol=1e-3, err_msg=key
-            )
 
 
 _TABULAR = TabularSpec(num_classes=4, num_features=10, flip_probability=0.1)
@@ -272,19 +253,19 @@ class TestStackedCIP:
             history = sim.run(2)
         return server.global_state(), history.train_losses, clients
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     @pytest.mark.parametrize("cip", _CIP_SWEEP.values(), ids=_CIP_SWEEP.keys())
     def test_batched_matches_sequential_bitwise(self, dtype, cip):
         batched = _RecordingBatchedExecutor()
-        with use_compute_dtype(dtype):
-            seq_state, seq_losses, seq_clients = self._run_live(SequentialExecutor(), cip)
-            for name, executor in (
-                ("batched", batched), ("process", ParallelExecutor(num_workers=2))
-            ):
-                state, losses, clients = self._run_live(executor, cip)
-                _assert_bitwise(seq_state, state, f"{name}.global")
-                assert seq_losses == losses, name
-                _assert_bitwise(seq_clients, clients, f"{name}.clients")
+        seq_state, seq_losses, seq_clients = self._run_live(SequentialExecutor(), cip)
+        assert all(value.dtype == dtype for value in seq_state.values())
+        for name, executor in (
+            ("batched", batched), ("process", ParallelExecutor(num_workers=2))
+        ):
+            state, losses, clients = self._run_live(executor, cip)
+            _assert_bitwise(seq_state, state, f"{name}.global")
+            assert seq_losses == losses, name
+            _assert_bitwise(seq_clients, clients, f"{name}.clients")
         assert batched.stacked == [[0, 1, 2]] * 2
 
     @staticmethod
@@ -309,15 +290,13 @@ class TestStackedCIP:
         registry.close()
         return server.global_state(), history.train_losses, states
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_virtual_topk_cohort_matches_sequential_bitwise(self, dtype, tmp_path):
         codec = {"codec": "topk", "topk_fraction": 0.1}
         batched = _RecordingBatchedExecutor(**codec)
-        with use_compute_dtype(dtype):
-            seq = self._run_cohort(
-                SequentialExecutor(**codec), tmp_path / "sequential"
-            )
-            bat = self._run_cohort(batched, tmp_path / "batched")
+        seq = self._run_cohort(SequentialExecutor(**codec), tmp_path / "sequential")
+        bat = self._run_cohort(batched, tmp_path / "batched")
+        assert all(value.dtype == dtype for value in seq[0].values())
         assert len(batched.stacked) == 3
         assert all(len(group) == 6 for group in batched.stacked)
         _assert_bitwise(seq[0], bat[0], "global")
@@ -389,26 +368,6 @@ class TestCheckpointBackendCompatibility:
         res_state = resumed.server.global_state()
         for key in ref_state:
             assert np.array_equal(ref_state[key], res_state[key]), key
-
-    def test_non_default_configuration_round_trips(
-        self, tiny_vector_dataset, tmp_path
-    ):
-        directory = str(tmp_path / "float32")
-        with use_compute_dtype("float32"):
-            _build_checkpointed_sim(tiny_vector_dataset, directory).run(2)
-            resumed = _build_checkpointed_sim(tiny_vector_dataset, directory)
-            resumed.resume(3)
-            assert resumed.server.round == 3
-
-    def test_checkpoint_records_active_configuration(
-        self, tiny_vector_dataset, tmp_path
-    ):
-        directory = str(tmp_path / "meta")
-        with use_compute_dtype("float32"):
-            sim = _build_checkpointed_sim(tiny_vector_dataset, directory)
-            sim.run(1)
-        payload = load_checkpoint(latest_checkpoint(directory))
-        assert payload["compute_dtype"] == "float32"
 
     def test_pre_backend_checkpoint_loads_under_defaults(
         self, tiny_vector_dataset, tmp_path

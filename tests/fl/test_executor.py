@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 from repro.core.cip_client import CIPClient
-from repro.core.config import CIPConfig, ExecutionConfig
+from repro.core.config import (
+    ByzantineConfig,
+    CIPConfig,
+    ExecutionConfig,
+    ScreeningConfig,
+)
 from repro.data.dataset import Dataset
 from repro.data.partition import partition_iid
 from repro.fl import executor as executor_module
@@ -209,6 +214,26 @@ class TestPoolLifetime:
             states.append(server.global_state())
         _assert_states_equal(*states)
         assert len(starts) == 1
+
+    def test_refused_aggregation_closes_the_pool(self, tiny_vector_dataset):
+        # Screening quarantines the NaN bomber, and the server refuses to
+        # aggregate without it; the run must not leave the pool running.
+        shards = partition_iid(tiny_vector_dataset, 6, seed=0)
+        clients = [
+            FLClient(i, shards[i], _mlp_factory, config=ClientConfig(lr=0.05), seed=i)
+            for i in range(6)
+        ]
+        executor = ParallelExecutor(
+            num_workers=2,
+            byzantine_config=ByzantineConfig(attack="nan_bomb", clients=(1,)),
+        )
+        sim = FederatedSimulation(
+            FLServer(_mlp_factory, screening=ScreeningConfig()), clients,
+            executor=executor,
+        )
+        with pytest.raises(ValueError, match="refusing to aggregate"):
+            sim.run(2)
+        assert executor._pool is None
 
 
 class TestRoundMetrics:

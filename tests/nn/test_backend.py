@@ -1,13 +1,13 @@
-"""The NumPy kernel module: dtype policy, leak regressions, dispatch lint.
+"""The dtype rules of :mod:`repro.nn`, leak regressions, dispatch lint.
 
 Three guarantees are pinned here:
 
-1. Policy semantics — activation is scoped (``use_compute_dtype``
-   restores), unknown names fail fast, and the two shipped policies coerce
-   leaves exactly as documented.
+1. The dtype rules: a differentiable leaf built from non-floating data is
+   float64, floating leaves keep their dtype, gradients are float64, and
+   parameters are float64.
 2. The float64-upcast leaks fixed in earlier refactors stay fixed:
-   ``one_hot`` honours an explicit dtype, losses follow their logits'
-   dtype, and under the float32 policy only the reduced loss is float64.
+   ``one_hot`` honours an explicit dtype and losses follow their logits'
+   dtype.
 3. The dispatch hygiene lint: no ``np.matmul``/``np.einsum``/
    ``as_strided`` outside ``backend.py``.
 """
@@ -22,95 +22,28 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn import layers as L
-from repro.nn.backend import (
-    active_compute_dtype,
-    available_dtype_policies,
-    get_dtype_policy,
-    get_policy,
-    set_compute_dtype,
-    use_compute_dtype,
-)
 from repro.nn.losses import cross_entropy, nll_loss
 from repro.nn.tensor import Tensor
 
 
-# ----------------------------------------------------------------------
-# Policy registry / activation semantics
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_shipped_policies(self):
-        assert set(available_dtype_policies()) == {"float64", "float32"}
-
-    def test_default_configuration(self):
-        assert active_compute_dtype() == "float64"
-        assert get_dtype_policy() is get_policy("float64")
-
-    def test_unknown_names_fail_fast(self):
-        with pytest.raises(ValueError, match="unknown"):
-            set_compute_dtype("float16")
-        with pytest.raises(ValueError, match="unknown"):
-            get_policy("float16")
-        assert active_compute_dtype() == "float64"
-
-    def test_use_compute_dtype_scopes_and_restores(self):
-        ambient = active_compute_dtype()
-        with use_compute_dtype("float32") as policy:
-            assert policy is get_dtype_policy()
-            assert active_compute_dtype() == "float32"
-        assert active_compute_dtype() == ambient
-
-    def test_use_compute_dtype_restores_on_exception(self):
-        ambient = active_compute_dtype()
-        with pytest.raises(RuntimeError):
-            with use_compute_dtype("float32"):
-                raise RuntimeError("boom")
-        assert active_compute_dtype() == ambient
-
-
 class TestDtypePolicy:
+    """The float64 rules, the one precision the substrate runs in."""
+
     def test_float64_policy_matches_seed_coercion(self):
-        policy = get_policy("float64")
         # Differentiable int data is promoted (the seed rule) ...
-        assert policy.coerce_leaf(
-            np.arange(4), requires_grad=True, is_leaf=True
-        ).dtype == np.float64
-        # ... but float32 leaves keep their dtype.
-        leaf = np.ones(3, dtype=np.float32)
-        assert policy.coerce_leaf(leaf, True, True).dtype == np.float32
-        assert policy.grad_dtype(np.dtype(np.float32)) == np.float64
-        assert policy.loss_dtype == np.float64
-
-    def test_float32_policy_casts_leaves_and_keeps_grads(self):
-        policy = get_policy("float32")
-        assert policy.coerce_leaf(np.ones(3), True, True).dtype == np.float32
-        assert policy.grad_dtype(np.dtype(np.float32)) == np.float32
-        # Loss accumulation stays float64 under every policy.
-        assert policy.loss_dtype == np.float64
-
-    def test_float32_policy_applies_to_tensor_leaves(self):
-        with use_compute_dtype("float32"):
-            leaf = Tensor(np.ones((2, 2)), requires_grad=True)
-            assert leaf.dtype == np.float32
-            out = leaf * 2.0
-            assert out.dtype == np.float32
-            out.sum().backward()
-            assert leaf.grad.dtype == np.float32
-
-    def test_float32_policy_does_not_cast_op_outputs(self):
-        # The astype op deliberately produces a float64 output under the
-        # float32 policy (loss accumulation); policy coercion must not
-        # squash non-leaf tensors back down.
-        with use_compute_dtype("float32"):
-            leaf = Tensor(np.ones(3), requires_grad=True)
-            wide = leaf.astype(np.float64)
-            assert wide.dtype == np.float64
-            wide.sum().backward()
-            assert leaf.grad.dtype == np.float32
+        assert Tensor(np.arange(4), requires_grad=True).dtype == np.float64
+        # ... but float32 leaves keep their dtype, and their gradient is
+        # float64.
+        leaf = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        assert leaf.dtype == np.float32
+        (leaf * 2.0).sum().backward()
+        assert leaf.grad.dtype == np.float64
 
     def test_parameters_follow_policy(self):
-        assert L.Parameter(np.zeros(3)).dtype == np.float64
-        with use_compute_dtype("float32"):
-            assert L.Parameter(np.zeros(3)).dtype == np.float32
+        assert L.Parameter(np.zeros(3, dtype=np.float32)).dtype == np.float64
+        module = L.Module()
+        module.register_buffer("stat", np.zeros(3, dtype=np.float32))
+        assert module.stat.dtype == np.float64
 
 
 # ----------------------------------------------------------------------
@@ -150,47 +83,6 @@ class TestDtypeLeaks:
             Tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
         )
         assert nll_loss(log_probs, np.array([0, 1, 2]), reduction="none").dtype == np.float32
-
-    def test_float32_policy_loss_accumulates_in_float64(self):
-        with use_compute_dtype("float32"):
-            logits = Tensor(
-                np.random.default_rng(1).normal(size=(6, 3)), requires_grad=True
-            )
-            assert logits.dtype == np.float32
-            loss = cross_entropy(logits, np.array([0, 1, 2, 0, 1, 2]))
-            # The reduced loss is float64 (accurate accumulation) but the
-            # gradient flowing back to the graph is float32 again.
-            assert loss.dtype == np.float64
-            loss.backward()
-            assert logits.grad.dtype == np.float32
-
-    def test_float32_policy_end_to_end_training_step(self):
-        with use_compute_dtype("float32"):
-            from repro.nn.models import build_model
-            from repro.nn.optim import SGD
-
-            model = build_model(
-                "vgg", 3, in_channels=1, stage_channels=(4,), convs_per_stage=1, seed=0
-            )
-            for param in model.parameters():
-                assert param.dtype == np.float32
-            for _, buffer in model.named_buffers():
-                assert buffer.dtype == np.float32
-            x = Tensor(np.random.default_rng(2).normal(size=(4, 1, 8, 8)))
-            labels = np.array([0, 1, 2, 0])
-            optimizer = SGD(model.parameters(), lr=0.05)
-            loss = cross_entropy(model(x), labels)
-            loss.backward()
-            optimizer.step()
-            for param in model.parameters():
-                assert param.dtype == np.float32, "optimizer step upcast a parameter"
-
-    def test_state_dict_round_trip_preserves_policy_dtype(self):
-        with use_compute_dtype("float32"):
-            layer = L.Linear(4, 3, seed=0)
-            state = layer.state_dict()
-            layer.load_state_dict(state)
-            assert layer.weight.dtype == np.float32
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn import tensor as T
-from repro.nn.backend import available_dtype_policies, use_compute_dtype
 from repro.nn.diagnostics import (
     debug_mode,
     get_op_stats,
@@ -28,6 +27,9 @@ from repro.nn.diagnostics import (
 )
 from repro.nn.tensor import Tensor
 
+
+#: The leaf dtypes every op is checked in.
+DTYPES = ("float64", "float32")
 
 #: The two routes every op is checked along.  ``numpy`` runs the ops as
 #: training does.  ``accelerated`` runs them with the op profiler and the
@@ -39,28 +41,25 @@ ROUTES = ("numpy", "accelerated")
 
 
 @pytest.fixture(
-    params=[
-        (route, dtype) for route in ROUTES for dtype in available_dtype_policies()
-    ],
+    params=[(route, dtype) for route in ROUTES for dtype in DTYPES],
     ids=lambda param: f"{param[0]}-{param[1]}",
 )
-def route_policy(request):
-    """Activate every route × dtype-policy combination for the sweep.
+def route_dtype(request):
+    """Every route × leaf-dtype combination for the sweep.
 
-    Under the float32 policy the leaves built by ``_check`` are cast to
-    float32 at construction, so the analytic pass genuinely runs in
-    float32 (gradcheck pins its numerical pass to float64 and widens the
-    tolerances automatically).  On the instrumented route the guards also
-    fail the case if any backward accumulates a gradient that is not the
-    shape of its tensor, not floating, or not finite.
+    Yields ``(route, dtype)``; ``_check`` builds the case's leaves in
+    ``dtype``, so on ``float32`` the analytic pass genuinely runs in
+    float32 (gradcheck's numerical pass runs on float64 copies and the
+    tolerances widen automatically).  On the instrumented route the guards
+    also fail the case if any backward accumulates a gradient that is not
+    the shape of its tensor, not floating, or not finite.
     """
     route, dtype = request.param
-    with use_compute_dtype(dtype):
-        if route == "numpy":
-            yield route
-            return
-        with debug_mode(), profile_ops():
-            yield route
+    if route == "numpy":
+        yield route, np.dtype(dtype)
+        return
+    with debug_mode(), profile_ops():
+        yield route, np.dtype(dtype)
 
 
 def _stable_seed(name):
@@ -219,10 +218,14 @@ ALL_CASES = (
 @pytest.mark.parametrize(
     "name,fn,shapes,positive", ALL_CASES, ids=[case[0] for case in ALL_CASES]
 )
-def test_gradcheck_sweep(route_policy, name, fn, shapes, positive):
+def test_gradcheck_sweep(route_dtype, name, fn, shapes, positive):
+    route, dtype = route_dtype
     before = get_op_stats()
-    _check(fn, shapes, seed=_stable_seed(name), positive=positive, op_name=name)
-    if route_policy == "accelerated":
+    _check(
+        fn, shapes, seed=_stable_seed(name), positive=positive, dtype=dtype,
+        op_name=name,
+    )
+    if route == "accelerated":
         # The profiler's backward wrapper ran, so the route was live.
         assert any(stat.backward_calls for stat in op_stats_delta(before).values())
 
